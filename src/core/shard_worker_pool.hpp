@@ -67,13 +67,13 @@ class ShardWorkerPool {
       return submissions == 0 ? 0.0
                               : double(tasks) / double(submissions);
     }
-    /// Fraction of `workers` x wall-clock capacity spent inside task
-    /// bodies. The submitting thread helps drain, so a saturated pool
-    /// can exceed 1.0.
+    /// Fraction of (`workers` + 1) x wall-clock capacity spent inside
+    /// task bodies. The submitting thread helps drain, so it counts as
+    /// capacity too, and the fraction never exceeds 1.0.
     double busy_fraction(std::size_t workers) const noexcept {
       return wall_ns == 0 || workers == 0
                  ? 0.0
-                 : double(busy_ns) / (double(workers) * double(wall_ns));
+                 : double(busy_ns) / (double(workers + 1) * double(wall_ns));
     }
   };
 

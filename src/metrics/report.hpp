@@ -9,7 +9,7 @@
 ///   theta_n false negative rate (Fig. 6)
 ///   Lr      legitimate-packet dropping rate (Fig. 7)
 ///
-/// Definitions (DESIGN.md section 4):
+/// Definitions:
 ///   alpha   = malicious defense-drops / malicious offered (post-trigger)
 ///   beta    = 1 - victim offered-rate(post window) / offered-rate(pre)
 ///   theta_p = responsive-legit PDT drops / all offered (post-trigger)

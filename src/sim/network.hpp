@@ -2,7 +2,10 @@
 
 /// \file network.hpp
 /// Container that owns nodes and links, wires link endpoints to node
-/// ingress connectors, and computes static shortest-path routes.
+/// ingress connectors, and computes static shortest-path routes. The route
+/// table lives here: one dense first-hop row per multi-link node (the
+/// routers), while a node with a single out-link (a host) forwards
+/// everything through that uplink.
 
 #include <cstdint>
 #include <memory>
@@ -37,8 +40,17 @@ class Network {
   /// Computes next-hop routes for every (node, destination-node) pair using
   /// Dijkstra over link propagation delays. Must be called after topology
   /// construction and before traffic starts; may be called again after
-  /// adding links.
+  /// adding links. Dijkstra runs only from nodes that get a row (see
+  /// route()); a one-link node's routes are its neighbour's reach.
   void build_routes();
+
+  /// Outgoing link on node `from`'s shortest path to address `dst`;
+  /// nullptr when `dst` is unknown, is `from` itself, is unreachable, or
+  /// either node was added after the last build_routes().
+  SimplexLink* route(NodeId from, util::Addr dst) const noexcept;
+
+  /// Number of nodes `from` has a route to (computed on demand, O(nodes)).
+  std::size_t route_count(NodeId from) const noexcept;
 
   Node* node(NodeId id) noexcept {
     return id < nodes_.size() ? nodes_[id].get() : nullptr;
@@ -70,6 +82,7 @@ class Network {
 
  private:
   Node* add_node(util::Addr addr, NodeKind kind);
+  SimplexLink* route_to(NodeId from, NodeId to) const noexcept;
   static std::uint64_t link_key(NodeId from, NodeId to) noexcept {
     return (static_cast<std::uint64_t>(from) << 32) | to;
   }
@@ -80,6 +93,19 @@ class Network {
   std::unordered_map<std::uint64_t, SimplexLink*> by_endpoints_;
   std::unordered_map<util::Addr, NodeId> by_addr_;
   DropHandler drop_handler_;
+
+  // Route table from the last build_routes(), over its first
+  // route_slots_.size() nodes. A node with a row reads
+  // first_hop_[row * route_slots_.size() + dst]. A node without one
+  // sends everything out of `uplink` (nullptr if it has no out-link); its
+  // neighbour always has a row.
+  static constexpr std::uint32_t kNoRow = 0xffffffffu;
+  struct RouteSlot {
+    SimplexLink* uplink = nullptr;
+    std::uint32_t row = kNoRow;
+  };
+  std::vector<RouteSlot> route_slots_;
+  std::vector<SimplexLink*> first_hop_;
 };
 
 }  // namespace mafic::sim

@@ -1,11 +1,11 @@
 #include "sim/node.hpp"
 
+#include "sim/network.hpp"
+
 namespace mafic::sim {
 
-Node::Node(Simulator* sim, NodeId id, util::Addr addr, NodeKind kind)
-    : sim_(sim), id_(id), addr_(addr), kind_(kind), entry_(this) {
-  (void)sim_;  // reserved for future use (e.g. processing delay)
-}
+Node::Node(const Network* net, NodeId id, util::Addr addr, NodeKind kind)
+    : net_(net), id_(id), addr_(addr), kind_(kind), entry_(this) {}
 
 void Node::bind_port(std::uint16_t port, PacketHandler* handler) {
   ports_[port] = handler;
@@ -13,14 +13,12 @@ void Node::bind_port(std::uint16_t port, PacketHandler* handler) {
 
 void Node::unbind_port(std::uint16_t port) { ports_.erase(port); }
 
-void Node::add_route(util::Addr dst, SimplexLink* out) {
-  routes_[dst] = out;
+SimplexLink* Node::route_for(util::Addr dst) const noexcept {
+  return net_->route(id_, dst);
 }
 
-SimplexLink* Node::route_for(util::Addr dst) const noexcept {
-  const auto it = routes_.find(dst);
-  if (it != routes_.end()) return it->second;
-  return default_route_;
+std::size_t Node::route_count() const noexcept {
+  return net_->route_count(id_);
 }
 
 void Node::send(PacketPtr p) {

@@ -1,9 +1,9 @@
 #pragma once
 
 /// \file node.hpp
-/// Hosts and routers. A node owns an address, a port-demux table for local
-/// agents, and a next-hop route table (destination address -> outgoing
-/// simplex link) filled in by the static routing computation.
+/// Hosts and routers. A node owns an address and a port-demux table for
+/// local agents; its next-hop routes live in the owning Network's route
+/// table, filled in by the static routing computation.
 
 #include <cstdint>
 #include <memory>
@@ -17,6 +17,8 @@
 
 namespace mafic::sim {
 
+class Network;
+
 enum class NodeKind : std::uint8_t { kHost, kRouter };
 
 /// Anything that can receive locally delivered packets (transport agents).
@@ -28,7 +30,7 @@ class PacketHandler {
 
 class Node {
  public:
-  Node(Simulator* sim, NodeId id, util::Addr addr, NodeKind kind);
+  Node(const Network* net, NodeId id, util::Addr addr, NodeKind kind);
 
   NodeId id() const noexcept { return id_; }
   util::Addr addr() const noexcept { return addr_; }
@@ -40,11 +42,11 @@ class Node {
   void bind_port(std::uint16_t port, PacketHandler* handler);
   void unbind_port(std::uint16_t port);
 
-  /// Routing table management (normally done by Network::build_routes).
-  void add_route(util::Addr dst, SimplexLink* out);
-  void set_default_route(SimplexLink* out) noexcept { default_route_ = out; }
+  /// Next-hop link towards `dst` from the network's route table (see
+  /// Network::route); nullptr means no route.
   SimplexLink* route_for(util::Addr dst) const noexcept;
-  std::size_t route_count() const noexcept { return routes_.size(); }
+  /// Number of destination nodes this node has a route to.
+  std::size_t route_count() const noexcept;
 
   /// Origination or forwarding: looks up the route and pushes the packet
   /// into the outgoing link. Local destinations are delivered directly.
@@ -90,14 +92,12 @@ class Node {
   void deliver_local(PacketPtr p);
   void drop(const Packet& p, DropReason r);
 
-  Simulator* sim_;
+  const Network* net_;
   NodeId id_;
   util::Addr addr_;
   NodeKind kind_;
   Entry entry_;
   std::unordered_map<std::uint16_t, PacketHandler*> ports_;
-  std::unordered_map<util::Addr, SimplexLink*> routes_;
-  SimplexLink* default_route_ = nullptr;
   DropHandler drop_handler_;
   Stats stats_;
 };

@@ -123,6 +123,7 @@ TEST(FleetWorkerPool, OccupancyCountsExactlyTheWorkSubmitted) {
   EXPECT_GT(occ.wall_ns, 0u);
   EXPECT_LE(occ.busy_ns, occ.wall_ns * (pool.worker_count() + 1));
   EXPECT_GT(occ.busy_fraction(pool.worker_count()), 0.0);
+  EXPECT_LE(occ.busy_fraction(pool.worker_count()), 1.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-// Tests for the NFT revalidation extension (DESIGN.md A6) and the
+// Tests for the NFT revalidation extension and the
 // probe-evading adaptive attacker it defends against.
 
 #include <gtest/gtest.h>
