@@ -91,8 +91,9 @@ void ControlPlane::ingest(const sketch::TrafficMatrixSnapshot& snap) {
         a.engage = true;
         a.atrs = std::move(fresh);
         // Record as applied now: the apply event is unconditional once
-        // scheduled, and control_delay < epoch length keeps it ordered
-        // before the next epoch's decisions.
+        // scheduled, and control_delay < epoch length (Experiment::setup
+        // rejects anything else) keeps it ordered before the next
+        // epoch's decisions.
         for (const auto& score : a.atrs) {
           st.atrs.insert(std::lower_bound(st.atrs.begin(), st.atrs.end(),
                                           score.router),
@@ -122,7 +123,7 @@ void ControlPlane::apply(const std::vector<Action>& actions) {
   for (const auto& a : actions) {
     auto& st = statuses_[a.index];
     if (a.engage) {
-      coordinator_->engage_victim(st.victim, st.router, a.atrs);
+      coordinator_->engage_victim(st.victim, a.atrs);
       st.engaged = true;
       if (st.trigger_time < 0.0) st.trigger_time = sim_->now();
     } else if (a.disengage) {

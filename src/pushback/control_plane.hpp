@@ -52,7 +52,7 @@ namespace mafic::pushback {
 class ControlPlane {
  public:
   struct Config {
-    double control_delay = 0.01;  ///< detect -> apply signaling delay
+    double control_delay = 0.01;  ///< detect -> apply; < one epoch
     bool latch = true;  ///< keep responses engaged after the alarm clears
     AtrConfig atr{};
     FeatureConfig features{};

@@ -1,11 +1,16 @@
 #pragma once
 
 /// \file coordinator.hpp
-/// End-to-end pushback control: subscribes the victim detector to the
-/// traffic monitor, identifies ATRs when an alarm fires, activates the
-/// defense actuators registered at those routers (after a control-plane
-/// delay), keeps them refreshed while the attack persists, and tears the
-/// response down when the detector clears (unless latched).
+/// The pushback actuator registry: every defense actuator is registered
+/// under the router it lives at, and both trigger modes actuate through
+/// it. The scripted trigger calls activate_router() once per in-scope
+/// router at a fixed time; the ControlPlane calls engage_victim /
+/// disengage_victim at its apply events. While any victim is engaged a
+/// keep-alive loop refreshes the engaged ATRs ("Pushback Continue?").
+///
+/// This file is control-plane code: the maficlint `seams` rule checks it
+/// never names FlowTables, the verdict pipeline or a FilterEngine —
+/// engines are reached only through core::DefenseActuator.
 
 #include <cstdint>
 #include <functional>
@@ -14,7 +19,6 @@
 
 #include "core/actuator.hpp"
 #include "pushback/atr_identifier.hpp"
-#include "pushback/victim_detector.hpp"
 #include "sim/simulator.hpp"
 
 namespace mafic::pushback {
@@ -22,27 +26,11 @@ namespace mafic::pushback {
 class PushbackCoordinator {
  public:
   struct Config {
-    double control_delay = 0.01;    ///< victim router -> ATR signaling
     double refresh_interval = 0.25; ///< keep-alive period
-    bool latch = true;  ///< once triggered, refresh until the run ends
-    AtrConfig atr{};
-    VictimDetector::Config detector{};
   };
 
   using TriggerCallback = std::function<void(
       double time, const std::vector<AtrScore>& atrs)>;
-
-  /// Per-victim response bookkeeping for the multi-victim control-plane
-  /// path (engage_victim / disengage_victim). The legacy single-victim
-  /// watch() path does not touch these.
-  struct VictimResponse {
-    sim::NodeId router = sim::kInvalidNode;  ///< victim's last-hop router
-    bool engaged = false;
-    double trigger_time = -1.0;  ///< first engagement (never reset)
-    double clear_time = -1.0;    ///< last disengagement
-    std::uint64_t engagements = 0;  ///< disengage->engage transitions
-    std::vector<sim::NodeId> atrs;  ///< currently engaged ATRs, sorted
-  };
 
   PushbackCoordinator(sim::Simulator* sim, Config cfg);
   ~PushbackCoordinator();
@@ -50,29 +38,21 @@ class PushbackCoordinator {
   PushbackCoordinator(const PushbackCoordinator&) = delete;
   PushbackCoordinator& operator=(const PushbackCoordinator&) = delete;
 
-  /// Subscribes to epoch snapshots from the traffic monitor.
-  void watch(sketch::TrafficMonitor& monitor);
-
-  /// Declares the protected victim (its last-hop router and address).
-  void protect(sim::NodeId victim_router, util::Addr victim_addr);
-
   /// Registers a defense actuator living at `router` (e.g. a MaficFilter
   /// on one of its ingress links). Multiple actuators per router are fine.
   void register_actuator(sim::NodeId router, core::DefenseActuator* a);
 
-  /// First-activation notification (used by the ledger to set the
+  /// First-engagement notification (used by the ledger to set the
   /// trigger time).
   void set_trigger_callback(TriggerCallback cb) {
     on_trigger_ = std::move(cb);
   }
 
   bool triggered() const noexcept { return triggered_; }
-  double trigger_time() const noexcept { return trigger_time_; }
-  const std::vector<sim::NodeId>& active_atrs() const noexcept {
-    return active_atrs_;
-  }
-  VictimDetector& detector() noexcept { return detector_; }
-  const Config& config() const noexcept { return cfg_; }
+
+  /// Activates every actuator registered at `router` with `victims`, in
+  /// registration order. A router without actuators is a no-op.
+  void activate_router(sim::NodeId router, const core::VictimSet& victims);
 
   /// --- Multi-victim actuation (asynchronous control-plane path) ---
   ///
@@ -88,16 +68,10 @@ class PushbackCoordinator {
   /// Engages or extends the response for one victim. No-op when `atrs`
   /// is empty; already-engaged ATRs are skipped. Fires the trigger
   /// callback on the first engagement overall.
-  void engage_victim(util::Addr victim, sim::NodeId victim_router,
-                     const std::vector<AtrScore>& atrs);
+  void engage_victim(util::Addr victim, const std::vector<AtrScore>& atrs);
 
   /// Tears down one victim's response (detector cleared, unlatched).
   void disengage_victim(util::Addr victim);
-
-  /// Per-victim responses, keyed (and iterated) in address order.
-  const std::map<util::Addr, VictimResponse>& responses() const noexcept {
-    return responses_;
-  }
 
   /// Sorted, deduplicated union of all engaged responses' ATRs.
   std::vector<sim::NodeId> engaged_atrs() const;
@@ -105,42 +79,28 @@ class PushbackCoordinator {
   /// Shared-router flush+re-activate cycles performed by disengage.
   std::uint64_t retargets() const noexcept { return retargets_; }
 
-  /// Manually ends the response (also invoked on detector clear when not
-  /// latched). Tears down both the legacy single-victim response and
-  /// every engaged multi-victim response.
+  /// Manually ends every engaged response and stops the keep-alive loop.
   void cancel();
 
  private:
-  void on_alarm(const AttackAlarm& alarm,
-                const sketch::TrafficMatrixSnapshot& snap);
-  /// Identifies ATRs from `snap` and activates any new ones. Called on the
-  /// alarm transition and again on every epoch while the alarm persists,
-  /// so late-ramping attack sources are still caught.
-  void engage(const sketch::TrafficMatrixSnapshot& snap);
-  void on_clear(sim::NodeId router, double time);
-  void activate_router(sim::NodeId router);
   void refresh_tick();
-  /// Union of victim addresses every *engaged* response wants defended
+  /// Union of victim addresses every engaged response wants defended
   /// at `router` (address-ordered map walk: deterministic).
   core::VictimSet victims_for_router(sim::NodeId router) const;
   void start_refresh_loop();
 
   sim::Simulator* sim_;
   Config cfg_;
-  VictimDetector detector_;
-
-  sim::NodeId victim_router_ = sim::kInvalidNode;
-  core::VictimSet victims_;
 
   /// Ordered by router id: control-plane only (registration + activation
   /// lookups), and any future walk over all actuators is deterministic.
   std::map<sim::NodeId, std::vector<core::DefenseActuator*>> actuators_;
-  std::vector<sim::NodeId> active_atrs_;
-  std::map<util::Addr, VictimResponse> responses_;
+  /// Engaged ATRs (sorted) per engaged victim; a victim is present only
+  /// while engaged, so its list is never empty.
+  std::map<util::Addr, std::vector<sim::NodeId>> responses_;
   std::uint64_t retargets_ = 0;
 
   bool triggered_ = false;
-  double trigger_time_ = 0.0;
   bool refreshing_ = false;
   sim::EventId refresh_event_ = sim::kInvalidEvent;
   TriggerCallback on_trigger_;

@@ -22,8 +22,8 @@ topology::DomainConfig ExperimentConfig::default_domain() {
   return d;
 }
 
-pushback::PushbackCoordinator::Config ExperimentConfig::default_pushback() {
-  pushback::PushbackCoordinator::Config p;
+PushbackConfig ExperimentConfig::default_pushback() {
+  PushbackConfig p;
   p.latch = true;
   p.control_delay = 0.01;
   p.refresh_interval = 0.25;
@@ -55,6 +55,14 @@ Experiment::~Experiment() = default;
 
 void Experiment::setup() {
   if (setup_done_) return;
+  // The control plane records an engagement as applied when it schedules
+  // it; a delay of an epoch or more lets the next epoch's clear overtake
+  // the engage, leaving an unlatched response engaged for good.
+  if (cfg_.trigger == TriggerMode::kDetector &&
+      cfg_.pushback.control_delay >= cfg_.epoch_seconds) {
+    throw std::invalid_argument(
+        "pushback.control_delay must be shorter than epoch_seconds");
+  }
   setup_done_ = true;
 
   build_topology();
@@ -300,14 +308,8 @@ void Experiment::build_defense() {
   }
 
   coordinator_ = std::make_unique<pushback::PushbackCoordinator>(
-      &sim_, cfg_.pushback);
-  // Protect EVERY configured destination. This used to register only the
-  // primary victim, so with extra_victims > 0 detector-mode defense never
-  // engaged for the secondaries and atr.recall silently counted their
-  // ATRs as misses.
-  for (std::size_t i = 0; i < victim_addrs_.size(); ++i) {
-    coordinator_->protect(victim_routers_[i], victim_addrs_[i]);
-  }
+      &sim_, pushback::PushbackCoordinator::Config{
+                 cfg_.pushback.refresh_interval});
   if (cfg_.trigger == TriggerMode::kDetector) {
     coordinator_->set_trigger_callback(
         [this](double t, const std::vector<pushback::AtrScore>&) {
@@ -315,8 +317,7 @@ void Experiment::build_defense() {
         });
     // Asynchronous control plane: detection runs against frozen epoch
     // snapshots (as pool work when the threaded datapath is on) and is
-    // applied per victim through the coordinator's actuator registry —
-    // the epoch callback no longer walks the matrix inline.
+    // applied per victim through the coordinator's actuator registry.
     pushback::ControlPlane::Config cp;
     cp.control_delay = cfg_.pushback.control_delay;
     cp.latch = cfg_.pushback.latch;
@@ -404,10 +405,8 @@ void Experiment::build_defense() {
         filter->set_offered_callback([this](const sim::Packet& p) {
           ledger_.on_defense_offered(p, sim_.now());
         });
-        baseline::ProportionalDropper* raw = filter.get();
+        coordinator_->register_actuator(access.router, filter.get());
         access.uplink->add_head_filter(std::move(filter));
-        proportional_filters_.push_back(raw);
-        coordinator_->register_actuator(access.router, raw);
         break;
       }
       case DefenseKind::kAggregate: {
@@ -416,10 +415,8 @@ void Experiment::build_defense() {
         filter->set_offered_callback([this](const sim::Packet& p) {
           ledger_.on_defense_offered(p, sim_.now());
         });
-        baseline::AggregateLimiter* raw = filter.get();
+        coordinator_->register_actuator(access.router, filter.get());
         access.uplink->add_head_filter(std::move(filter));
-        aggregate_filters_.push_back(raw);
-        coordinator_->register_actuator(access.router, raw);
         break;
       }
       case DefenseKind::kNone:
@@ -470,27 +467,22 @@ void Experiment::arm_trigger() {
   sim_.schedule_at(cfg_.scripted_trigger_time, [this] {
     if (ledger_.triggered()) return;
     ledger_.set_trigger_time(sim_.now());
-    core::VictimSet victims(victim_addrs_.begin(), victim_addrs_.end());
-    const bool all = cfg_.atr_scope == AtrScope::kAllIngress;
-    std::unordered_set<sim::NodeId> scope;
-    if (!all) {
-      const auto atrs = ground_truth_atrs();
-      scope.insert(atrs.begin(), atrs.end());
+    if (cfg_.atr_scope == AtrScope::kZombieRouters) {
+      scripted_atrs_ = ground_truth_atrs();
+    } else {
+      for (const auto& access : domain_->access_links()) {
+        scripted_atrs_.push_back(access.router);
+      }
+      std::sort(scripted_atrs_.begin(), scripted_atrs_.end());
+      scripted_atrs_.erase(
+          std::unique(scripted_atrs_.begin(), scripted_atrs_.end()),
+          scripted_atrs_.end());
     }
-    auto in_scope = [&](sim::NodeId router) {
-      return all || scope.contains(router);
-    };
-    for (auto* f : mafic_filters_) {
-      if (in_scope(f->atr_node_id())) f->activate(victims);
-    }
-    for (auto* f : sharded_filters_) {
-      if (in_scope(f->atr_node_id())) f->activate(victims);
-    }
-    for (auto* f : proportional_filters_) {
-      if (in_scope(f->location())) f->activate(victims);
-    }
-    for (auto* f : aggregate_filters_) {
-      if (in_scope(f->location())) f->activate(victims);
+    // Activation is pure filter state (no RNG draws, no events), so the
+    // router-order walk matches any other order bit for bit.
+    const core::VictimSet victims(victim_addrs_.begin(), victim_addrs_.end());
+    for (const sim::NodeId router : scripted_atrs_) {
+      coordinator_->activate_router(router, victims);
     }
   });
 }
@@ -560,25 +552,12 @@ ExperimentResult Experiment::snapshot_result() const {
     r.per_victim.push_back(b);
   }
 
-  // ATR diagnostics: identified (detector mode) or assumed (scripted).
+  // ATR diagnostics: identified (detector mode) or the routers the
+  // scripted trigger activated, for every defense kind.
   r.atr.ground_truth = ground_truth_atrs();
-  if (control_plane_ != nullptr) {
-    r.atr.identified = control_plane_->active_atrs();
-  } else if (cfg_.trigger == TriggerMode::kDetector &&
-             coordinator_ != nullptr) {
-    r.atr.identified = coordinator_->active_atrs();
-  } else {
-    for (const auto* f : mafic_filters_) {
-      if (f->active()) r.atr.identified.push_back(f->atr_node_id());
-    }
-    for (const auto* f : sharded_filters_) {
-      if (f->active()) r.atr.identified.push_back(f->atr_node_id());
-    }
-    std::sort(r.atr.identified.begin(), r.atr.identified.end());
-    r.atr.identified.erase(
-        std::unique(r.atr.identified.begin(), r.atr.identified.end()),
-        r.atr.identified.end());
-  }
+  r.atr.identified = control_plane_ != nullptr
+                         ? control_plane_->active_atrs()
+                         : scripted_atrs_;
   std::unordered_set<sim::NodeId> truth(r.atr.ground_truth.begin(),
                                         r.atr.ground_truth.end());
   std::size_t hits = 0;

@@ -9,18 +9,25 @@
 ///
 /// Trigger modes:
 ///  * kScripted (default for figure benches): the pushback notification
-///    arrives at a fixed time at the ground-truth ATRs. This mirrors the
-///    paper's evaluation, which studies MAFIC's dropping behaviour *given*
-///    the notification ("On receiving the notification of DDoS attack from
-///    the victim router, each ATR begins dropping packets", section III-A);
-///    detection quality belongs to the set-union substrate of [2].
+///    arrives at a fixed time at the in-scope ATRs (AtrScope), and the
+///    coordinator's actuator registry activates each with the full victim
+///    set, in router order. This mirrors the paper's evaluation, which
+///    studies MAFIC's dropping behaviour *given* the notification ("On
+///    receiving the notification of DDoS attack from the victim router,
+///    each ATR begins dropping packets", section III-A); detection
+///    quality belongs to the set-union substrate of [2]. No keep-alive
+///    loop runs: with the default mafic.refresh_timeout of 0 a refresh is
+///    a no-op (a positive timeout lets the scripted response lapse), and
+///    starting the loop would add events to every fingerprinted count.
 ///  * kDetector: the full pipeline — LogLog sketches, per-epoch traffic
 ///    matrix, |Dj| anomaly detection, a_ij ATR identification — drives the
 ///    activation, asynchronously: a pushback::ControlPlane freezes an
 ///    epoch snapshot, runs the feature-based detection step per protected
 ///    destination (as a worker-pool task when the threaded datapath is
 ///    on), and applies per-victim engage/disengage decisions one control
-///    delay later. Every victim in victim_addrs() is protected.
+///    delay later through the same registry. Every victim in
+///    victim_addrs() is protected. The control delay must be shorter
+///    than an epoch; setup() throws std::invalid_argument otherwise.
 
 #include <memory>
 #include <vector>
@@ -38,6 +45,7 @@
 #include "metrics/report.hpp"
 #include "pushback/control_plane.hpp"
 #include "pushback/coordinator.hpp"
+#include "pushback/victim_detector.hpp"
 #include "sim/monitor.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -66,6 +74,17 @@ enum class TriggerMode : std::uint8_t { kScripted, kDetector };
 /// (kAllIngress, default). kZombieRouters assumes oracle identification
 /// and is used by focused tests/ablations.
 enum class AtrScope : std::uint8_t { kAllIngress, kZombieRouters };
+
+/// Pushback control knobs. kDetector feeds ControlPlane::Config from
+/// control_delay, latch, atr and detector; refresh_interval is the
+/// coordinator's keep-alive period.
+struct PushbackConfig {
+  double control_delay = 0.01;    ///< victim router -> ATR signaling
+  double refresh_interval = 0.25; ///< keep-alive period
+  bool latch = true;  ///< keep responses engaged after the alarm clears
+  pushback::AtrConfig atr{};
+  pushback::VictimDetector::Config detector{};
+};
 
 struct ExperimentConfig {
   // --- Table II parameters -------------------------------------------------
@@ -199,14 +218,14 @@ struct ExperimentConfig {
   // --- pushback substrate ----------------------------------------------------
   double epoch_seconds = 0.1;
   unsigned sketch_precision_bits = 10;
-  pushback::PushbackCoordinator::Config pushback = default_pushback();
+  PushbackConfig pushback = default_pushback();
 
   // --- measurement -----------------------------------------------------------
   metrics::ReportWindows windows{};
   double series_bin_width = 0.05;
 
   static topology::DomainConfig default_domain();
-  static pushback::PushbackCoordinator::Config default_pushback();
+  static PushbackConfig default_pushback();
 };
 
 /// ATR identification quality relative to ground truth (routers that
@@ -373,11 +392,13 @@ class Experiment {
   std::vector<transport::TcpSender*> tcp_sender_ptrs_;
   std::vector<attack::Flooder*> zombie_ptrs_;
 
-  // Filters are owned by their links; we keep handles.
+  // Filters are owned by their links and actuated through coordinator_;
+  // we keep handles to the MAFIC ones for their stats.
   std::vector<core::MaficFilter*> mafic_filters_;
   std::vector<core::ShardedMaficFilter*> sharded_filters_;
-  std::vector<baseline::ProportionalDropper*> proportional_filters_;
-  std::vector<baseline::AggregateLimiter*> aggregate_filters_;
+  /// Routers the scripted trigger activated (sorted; empty before it
+  /// fires and in kDetector mode).
+  std::vector<sim::NodeId> scripted_atrs_;
 
   // Router each zombie sits behind (ground truth for diagnostics).
   std::vector<sim::NodeId> zombie_routers_;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/shard_worker_pool.hpp"
@@ -179,11 +180,9 @@ std::vector<AtrScore> scores_for(std::vector<sim::NodeId> routers) {
   return out;
 }
 
-PushbackCoordinator::Config coord_cfg(bool latch = true) {
+PushbackCoordinator::Config coord_cfg() {
   PushbackCoordinator::Config cfg;
-  cfg.control_delay = 0.01;
   cfg.refresh_interval = 0.1;
-  cfg.latch = latch;
   return cfg;
 }
 
@@ -194,24 +193,22 @@ TEST(CoordinatorMultiVictim, EngageActivatesPerRouterUnion) {
   coord.register_actuator(0, &a0);
   coord.register_actuator(1, &a1);
 
-  coord.engage_victim(/*victim=*/100, /*victim_router=*/2,
-                      scores_for({0, 1}));
+  coord.engage_victim(/*victim=*/100, scores_for({0, 1}));
   EXPECT_TRUE(a0.active() && a1.active());
   EXPECT_TRUE(a0.victims.contains(100) && a1.victims.contains(100));
   EXPECT_TRUE(coord.triggered());
 
   // Second victim shares router 1 only: a1 gains victim 101, a0 is
   // untouched, and the ATR union covers both routers.
-  coord.engage_victim(/*victim=*/101, /*victim_router=*/3, scores_for({1}));
+  coord.engage_victim(/*victim=*/101, scores_for({1}));
   EXPECT_FALSE(a0.victims.contains(101));
   EXPECT_TRUE(a1.victims.contains(100) && a1.victims.contains(101));
   EXPECT_EQ(coord.engaged_atrs(), (std::vector<sim::NodeId>{0, 1}));
-  ASSERT_EQ(coord.responses().size(), 2u);
-  EXPECT_EQ(coord.responses().at(100).engagements, 1u);
+  EXPECT_EQ(a0.activations, 1);
 
   // Re-engaging with an already-known ATR is a no-op for the actuator.
   const int before = a0.activations;
-  coord.engage_victim(100, 2, scores_for({0}));
+  coord.engage_victim(100, scores_for({0}));
   EXPECT_EQ(a0.activations, before);
 }
 
@@ -222,8 +219,8 @@ TEST(CoordinatorMultiVictim, DisengageRetargetsSharedRoutersOnly) {
   coord.register_actuator(0, &a0);
   coord.register_actuator(1, &a1);
 
-  coord.engage_victim(100, 2, scores_for({0, 1}));
-  coord.engage_victim(101, 3, scores_for({1}));
+  coord.engage_victim(100, scores_for({0, 1}));
+  coord.engage_victim(101, scores_for({1}));
 
   coord.disengage_victim(100);
   // Router 0 was exclusive to victim 100: plain deactivation.
@@ -234,15 +231,38 @@ TEST(CoordinatorMultiVictim, DisengageRetargetsSharedRoutersOnly) {
   EXPECT_FALSE(a1.victims.contains(100));
   EXPECT_EQ(coord.retargets(), 1u);
   EXPECT_EQ(coord.engaged_atrs(), (std::vector<sim::NodeId>{1}));
-  EXPECT_FALSE(coord.responses().at(100).engaged);
-  EXPECT_GE(coord.responses().at(100).clear_time, 0.0);
-  // The first trigger time survives the disengage for reporting.
-  EXPECT_GE(coord.responses().at(100).trigger_time, 0.0);
+  EXPECT_EQ(a0.deactivations, 1);
 
-  // Re-engagement counts and re-activates.
-  coord.engage_victim(100, 2, scores_for({0}));
+  // Re-engagement re-activates the exclusive router.
+  coord.engage_victim(100, scores_for({0}));
   EXPECT_TRUE(a0.active());
-  EXPECT_EQ(coord.responses().at(100).engagements, 2u);
+  EXPECT_TRUE(a0.victims.contains(100));
+  EXPECT_EQ(a0.activations, 2);
+  EXPECT_EQ(coord.engaged_atrs(), (std::vector<sim::NodeId>{0, 1}));
+}
+
+TEST(CoordinatorMultiVictim, TriggerCallbackFiresOnceAcrossVictims) {
+  sim::Simulator sim;
+  PushbackCoordinator coord(&sim, coord_cfg());
+  FakeActuator a0, a1;
+  coord.register_actuator(0, &a0);
+  coord.register_actuator(1, &a1);
+  std::vector<double> triggers;
+  coord.set_trigger_callback(
+      [&](double t, const std::vector<AtrScore>&) { triggers.push_back(t); });
+
+  EXPECT_FALSE(coord.triggered());
+  coord.engage_victim(100, {});  // nothing identified: not a trigger
+  EXPECT_FALSE(coord.triggered());
+  sim.schedule_at(0.2, [&] { coord.engage_victim(100, scores_for({0})); });
+  sim.schedule_at(0.3, [&] { coord.engage_victim(101, scores_for({1})); });
+  sim.schedule_at(0.4, [&] { coord.disengage_victim(100); });
+  sim.schedule_at(0.5, [&] { coord.engage_victim(100, scores_for({0})); });
+  sim.run_until(0.6);
+  EXPECT_TRUE(coord.triggered());
+  ASSERT_EQ(triggers.size(), 1u);
+  EXPECT_DOUBLE_EQ(triggers[0], 0.2);
+  EXPECT_EQ(a0.activations, 2);
 }
 
 TEST(CoordinatorMultiVictim, RefreshCoversEveryEngagedResponse) {
@@ -252,13 +272,13 @@ TEST(CoordinatorMultiVictim, RefreshCoversEveryEngagedResponse) {
   coord.register_actuator(0, &a0);
   coord.register_actuator(1, &a1);
 
-  coord.engage_victim(100, 2, scores_for({0}));
-  coord.engage_victim(101, 3, scores_for({1}));
+  coord.engage_victim(100, scores_for({0}));
+  coord.engage_victim(101, scores_for({1}));
   sim.run_until(0.35);  // three refresh ticks
   EXPECT_GE(a0.refreshes, 3);
   EXPECT_GE(a1.refreshes, 3);
   // A shared router is refreshed once per tick, not once per victim.
-  coord.engage_victim(101, 3, scores_for({0}));
+  coord.engage_victim(101, scores_for({0}));
   const int base = a0.refreshes;
   sim.run_until(0.45);
   EXPECT_LE(a0.refreshes - base, 1);
@@ -283,8 +303,7 @@ struct PlaneHarness {
     cfg.features.ewma.trigger_factor = 2.0;
     cfg.features.ewma.clear_factor = 1.5;
     cfg.features.ewma.min_packets_per_epoch = 50;
-    auto ccfg = coord_cfg(latch);
-    coord = std::make_unique<PushbackCoordinator>(&sim, ccfg);
+    coord = std::make_unique<PushbackCoordinator>(&sim, coord_cfg());
     plane = std::make_unique<ControlPlane>(&sim, coord.get(), cfg);
     coord->register_actuator(0, &a0);
     coord->register_actuator(1, &a1);
@@ -362,7 +381,44 @@ TEST(ControlPlane, UnlatchedClearDisengagesAndReengages) {
   EXPECT_TRUE(h.a0.active());
   // The first trigger time is preserved across re-engagements.
   EXPECT_DOUBLE_EQ(h.plane->statuses()[0].trigger_time, 0.21);
-  EXPECT_EQ(h.coord->responses().at(100).engagements, 2u);
+  EXPECT_EQ(h.a0.activations, 2);
+  EXPECT_EQ(h.a0.deactivations, 1);
+}
+
+TEST(ControlPlane, SurgeTowardUnprotectedRouterEngagesNothing) {
+  // Only victim A (router 2) is protected; the flood goes to router 3.
+  sim::Simulator sim;
+  PushbackCoordinator coord(&sim, coord_cfg());
+  ControlPlane::Config cfg;
+  cfg.atr.share_threshold = 0.2;
+  cfg.atr.min_intersection = 100;
+  cfg.features.ewma.warmup_epochs = 1;
+  cfg.features.ewma.trigger_factor = 2.0;
+  cfg.features.ewma.min_packets_per_epoch = 50;
+  ControlPlane plane(&sim, &coord, cfg);
+  FakeActuator a0;
+  coord.register_actuator(0, &a0);
+  plane.protect(2, 100);
+  bool triggered = false;
+  coord.set_trigger_callback(
+      [&](double, const std::vector<AtrScore>&) { triggered = true; });
+
+  for (int e = 0; e < 4; ++e) {
+    const double t = 0.1 * (e + 1);
+    const std::uint64_t to_unprotected = e < 2 ? 200 : 5000;
+    auto snap = make_snapshot(4, {{0, 2, 200}, {0, 3, to_unprotected}},
+                              static_cast<std::uint64_t>(e) * 1000000, t);
+    sim.schedule_at(t, [&plane, s = std::move(snap)] { plane.ingest(s); });
+  }
+  sim.run_until(0.5);
+  EXPECT_EQ(plane.epochs_observed(), 4u);
+  EXPECT_FALSE(plane.statuses()[0].alarming);
+  EXPECT_EQ(plane.statuses()[0].alarms, 0u);
+  EXPECT_EQ(plane.apply_events(), 0u);
+  EXPECT_FALSE(a0.active());
+  EXPECT_EQ(a0.activations, 0);
+  EXPECT_FALSE(triggered);
+  EXPECT_TRUE(coord.engaged_atrs().empty());
 }
 
 TEST(ControlPlane, LatchedResponseSurvivesClear) {
@@ -419,6 +475,32 @@ TEST(ControlPlane, PooledDetectionIsBitIdenticalToInline) {
 
 namespace mafic::scenario {
 namespace {
+
+TEST(ControlPlaneExperiment, ControlDelayMustBeShorterThanAnEpoch) {
+  // The plane records an engagement as applied when it schedules it. With
+  // a delay of an epoch or more, the next epoch's clear can run before
+  // the engage lands, and an unlatched response then stays engaged for
+  // good. setup() rejects the configuration instead.
+  ExperimentConfig cfg;
+  cfg.total_flows = 20;
+  cfg.router_count = 12;
+  cfg.trigger = TriggerMode::kDetector;
+  cfg.pushback.latch = false;
+  cfg.epoch_seconds = 0.1;
+  for (const double delay : {0.1, 0.15}) {
+    cfg.pushback.control_delay = delay;
+    Experiment exp(cfg);
+    EXPECT_THROW(exp.setup(), std::invalid_argument) << delay;
+    EXPECT_FALSE(exp.is_setup());
+  }
+  // A delay inside the epoch is fine, and scripted runs have no apply
+  // events to order.
+  cfg.pushback.control_delay = 0.09;
+  EXPECT_NO_THROW(Experiment(cfg).setup());
+  cfg.pushback.control_delay = 0.15;
+  cfg.trigger = TriggerMode::kScripted;
+  EXPECT_NO_THROW(Experiment(cfg).setup());
+}
 
 TEST(ControlPlaneExperiment, DetectorModeProtectsEveryVictim) {
   // Regression for the single-victim build_defense() bug: with

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace mafic::scenario {
 namespace {
@@ -164,6 +166,64 @@ TEST(ExperimentIntegration, ZombieRouterScopeSparesRemoteLegitFlows) {
   EXPECT_GT(r.metrics.alpha, 0.97);
   // ...and collateral is not worse than the all-ingress default.
   EXPECT_LT(r.metrics.lr, 0.12);
+}
+
+TEST(ExperimentIntegration, ScriptedAtrDiagnosticsCoverEveryDefenseKind) {
+  // atr.identified lists the routers the scripted trigger activated,
+  // whatever actuator sits there: every ingress router, or the zombie
+  // routers under oracle scoping.
+  for (const DefenseKind kind :
+       {DefenseKind::kMafic, DefenseKind::kProportional,
+        DefenseKind::kAggregate}) {
+    for (const AtrScope scope :
+         {AtrScope::kAllIngress, AtrScope::kZombieRouters}) {
+      SCOPED_TRACE(testing::Message() << "kind " << int(kind) << " scope "
+                                      << int(scope));
+      auto cfg = small_config();
+      cfg.defense = kind;
+      cfg.atr_scope = scope;
+      Experiment exp(cfg);
+      exp.run_until(cfg.scripted_trigger_time - 0.1);
+      EXPECT_TRUE(exp.snapshot_result().atr.identified.empty());
+      exp.run_until(cfg.scripted_trigger_time + 0.1);
+      const auto r = exp.snapshot_result();
+
+      std::vector<sim::NodeId> expected = r.atr.ground_truth;
+      if (scope == AtrScope::kAllIngress) {
+        expected.clear();
+        for (const auto& access : exp.domain().access_links()) {
+          expected.push_back(access.router);
+        }
+        std::sort(expected.begin(), expected.end());
+        expected.erase(std::unique(expected.begin(), expected.end()),
+                       expected.end());
+      }
+      ASSERT_FALSE(expected.empty());
+      EXPECT_EQ(r.atr.identified, expected);
+      EXPECT_DOUBLE_EQ(r.atr.recall, 1.0);
+      if (scope == AtrScope::kZombieRouters) {
+        EXPECT_DOUBLE_EQ(r.atr.precision, 1.0);
+      }
+
+      if (kind == DefenseKind::kMafic) {
+        // Unchanged for MAFIC: exactly the routers with an active filter.
+        std::vector<sim::NodeId> active;
+        for (const auto* f : exp.mafic_filters()) {
+          if (f->active()) active.push_back(f->atr_node_id());
+        }
+        std::sort(active.begin(), active.end());
+        active.erase(std::unique(active.begin(), active.end()),
+                     active.end());
+        EXPECT_EQ(r.atr.identified, active);
+      }
+    }
+  }
+
+  auto none = small_config();
+  none.defense = DefenseKind::kNone;
+  Experiment exp(none);
+  exp.run_until(none.scripted_trigger_time + 0.1);
+  EXPECT_TRUE(exp.snapshot_result().atr.identified.empty());
 }
 
 TEST(ExperimentIntegration, FilterConservation) {

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "pushback/atr_identifier.hpp"
-#include "pushback/coordinator.hpp"
 #include "pushback/victim_detector.hpp"
 #include "sim/simulator.hpp"
 
@@ -241,138 +240,6 @@ TEST(AtrIdentifier, EmptySnapshotYieldsNothing) {
     snap.d.push_back(bank.d(sim::NodeId(i)));
   }
   EXPECT_TRUE(identify_atrs(snap, 2, {}).empty());
-}
-
-/// Minimal actuator for coordinator tests.
-class FakeActuator final : public core::DefenseActuator {
- public:
-  void activate(const core::VictimSet& v) override {
-    active_ = true;
-    victims = v;
-    ++activations;
-  }
-  void refresh() override { ++refreshes; }
-  void deactivate() override { active_ = false; ++deactivations; }
-  bool active() const noexcept override { return active_; }
-
-  bool active_ = false;
-  int activations = 0;
-  int refreshes = 0;
-  int deactivations = 0;
-  core::VictimSet victims;
-};
-
-class CoordinatorTest : public ::testing::Test {
- protected:
-  PushbackCoordinator::Config make_cfg(bool latch) {
-    PushbackCoordinator::Config cfg;
-    cfg.control_delay = 0.01;
-    cfg.refresh_interval = 0.1;
-    cfg.latch = latch;
-    cfg.atr.share_threshold = 0.2;
-    cfg.atr.min_intersection = 100;
-    cfg.detector.warmup_epochs = 1;
-    cfg.detector.trigger_factor = 2.0;
-    cfg.detector.min_packets_per_epoch = 50;
-    return cfg;
-  }
-
-  sim::Simulator sim;
-};
-
-TEST_F(CoordinatorTest, AlarmActivatesAtrActuatorsAfterControlDelay) {
-  PushbackCoordinator coord(&sim, make_cfg(true));
-  const util::Addr victim_addr = util::make_addr(172, 17, 0, 1);
-  coord.protect(1, victim_addr);
-  FakeActuator at_attacker, at_innocent;
-  coord.register_actuator(0, &at_attacker);
-  coord.register_actuator(2, &at_innocent);
-
-  // Warm up, then surge through ingress router 0.
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 0));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 1000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 5000, 2000000));
-  EXPECT_FALSE(at_attacker.active_);  // control delay pending
-  sim.run_until(0.05);
-  EXPECT_TRUE(at_attacker.active_);
-  EXPECT_FALSE(at_innocent.active_);
-  EXPECT_TRUE(at_attacker.victims.contains(victim_addr));
-  EXPECT_TRUE(coord.triggered());
-  ASSERT_EQ(coord.active_atrs().size(), 1u);
-  EXPECT_EQ(coord.active_atrs()[0], 0u);
-}
-
-TEST_F(CoordinatorTest, RefreshLoopKeepsActuatorsAlive) {
-  PushbackCoordinator coord(&sim, make_cfg(true));
-  coord.protect(1, util::make_addr(172, 17, 0, 1));
-  FakeActuator actuator;
-  coord.register_actuator(0, &actuator);
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 0));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 1000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 5000, 2000000));
-  sim.run_until(1.0);
-  EXPECT_GE(actuator.refreshes, 8);
-}
-
-TEST_F(CoordinatorTest, CancelDeactivatesEverything) {
-  PushbackCoordinator coord(&sim, make_cfg(true));
-  coord.protect(1, util::make_addr(172, 17, 0, 1));
-  FakeActuator actuator;
-  coord.register_actuator(0, &actuator);
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 0));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 1000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 5000, 2000000));
-  sim.run_until(0.1);
-  EXPECT_TRUE(actuator.active_);
-  coord.cancel();
-  EXPECT_FALSE(actuator.active_);
-  EXPECT_EQ(actuator.deactivations, 1);
-  EXPECT_TRUE(coord.active_atrs().empty());
-}
-
-TEST_F(CoordinatorTest, UnlatchedCoordinatorCancelsOnClear) {
-  PushbackCoordinator coord(&sim, make_cfg(false));
-  coord.protect(1, util::make_addr(172, 17, 0, 1));
-  FakeActuator actuator;
-  coord.register_actuator(0, &actuator);
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 0));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 1000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 5000, 2000000));
-  sim.run_until(0.05);
-  EXPECT_TRUE(actuator.active_);
-  // Traffic subsides -> detector clears -> coordinator cancels.
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 210, 3000000));
-  EXPECT_FALSE(actuator.active_);
-}
-
-TEST_F(CoordinatorTest, AlarmsForOtherRoutersIgnored) {
-  PushbackCoordinator coord(&sim, make_cfg(true));
-  coord.protect(1, util::make_addr(172, 17, 0, 1));  // protect router 1
-  FakeActuator actuator;
-  coord.register_actuator(0, &actuator);
-  // Surge toward router 2 (not the protected victim).
-  coord.detector().on_epoch(make_snapshot(3, 0, 2, 200, 0));
-  coord.detector().on_epoch(make_snapshot(3, 0, 2, 200, 1000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 2, 5000, 2000000));
-  sim.run_until(0.1);
-  EXPECT_FALSE(actuator.active_);
-  EXPECT_FALSE(coord.triggered());
-}
-
-TEST_F(CoordinatorTest, TriggerCallbackFiresOnce) {
-  PushbackCoordinator coord(&sim, make_cfg(true));
-  coord.protect(1, util::make_addr(172, 17, 0, 1));
-  FakeActuator actuator;
-  coord.register_actuator(0, &actuator);
-  int triggers = 0;
-  coord.set_trigger_callback(
-      [&](double, const std::vector<AtrScore>&) { ++triggers; });
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 0));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 200, 1000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 5000, 2000000));
-  coord.detector().on_epoch(make_snapshot(3, 0, 1, 5000, 3000000));
-  sim.run_until(0.5);
-  EXPECT_EQ(triggers, 1);
 }
 
 }  // namespace
