@@ -30,7 +30,7 @@ int main() {
 
   // Sharded-datapath cross-check: the same figure points driven through
   // the 4-shard burst datapath must reproduce the scalar path's
-  // classification decisions exactly (fixed seed, CoinMode::kPacketHash).
+  // classification decisions exactly (fixed seed, stateless Pd coins).
   std::printf("\n== sharded datapath cross-check (burst=8) ==\n");
   bool ok = true;
   for (const std::size_t vt : {30, 70}) {

@@ -9,7 +9,7 @@
 
 #include "bench_json.hpp"
 #include "core/flow_tables.hpp"
-#include "core/mafic_filter.hpp"
+#include "core/sharded_mafic_filter.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
@@ -56,8 +56,9 @@ void BM_FlowTableClassify(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowTableClassify)->Arg(1000)->Arg(10000)->Arg(100000);
 
-/// Full filter datapath: a populated active filter inspecting a stream of
-/// packets from already-classified flows (the steady-state fast path).
+/// Full filter datapath: a populated active one-shard filter (the head
+/// mount's adapter) inspecting a stream of packets from already-classified
+/// flows (the steady-state fast path).
 void BM_MaficFilterSteadyState(benchmark::State& state) {
   sim::Simulator sim;
   sim::Network net(&sim);
@@ -66,8 +67,8 @@ void BM_MaficFilterSteadyState(benchmark::State& state) {
   core::MaficConfig cfg;
   cfg.pdt_capacity = 1 << 20;
   cfg.nft_capacity = 1 << 20;
-  auto filter = std::make_unique<core::MaficFilter>(
-      &sim, &factory, atr, cfg, nullptr, util::Rng(1));
+  auto filter = std::make_unique<core::ShardedMaficFilter>(
+      &sim, &factory, atr, 1, cfg, nullptr);
 
   const util::Addr victim = util::make_addr(172, 17, 0, 1);
   filter->activate({victim});
@@ -88,7 +89,7 @@ void BM_MaficFilterSteadyState(benchmark::State& state) {
   // the wheel's decision timers resolve every probation into NFT/PDT.
   // The measured loop is then the true steady state (zero admissions).
   for (int round = 0; round < 8; ++round) {
-    const auto& tables = filter->tables();
+    const auto& tables = filter->engine(0).tables();
     if (tables.nft_size() + tables.pdt_size() >= population) break;
     for (const auto& label : labels) {
       const std::uint64_t key = sim::hash_label(label);

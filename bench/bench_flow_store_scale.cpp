@@ -6,7 +6,8 @@
 // of spoofed flows" premise:
 //   1. throughput: classify() on the flat store sustains >= 2x the
 //      packets/sec of the map-based tables at 1M resident flows;
-//   2. allocation-freedom: steady-state MaficFilter::inspect() and
+//   2. allocation-freedom: the steady-state sim adapter's inspect()
+//      (a one-shard ShardedMaficFilter, as the head mount runs it) and
 //      FilterEngine::inspect_batch() perform ZERO heap allocations
 //      (asserted with a global operator-new counter);
 //   3. sharded scale: at 1M aggregate resident flows, 4 engine shards
@@ -70,7 +71,6 @@
 #include "reference_flow_tables.hpp"
 #include "core/fleet_burst_scheduler.hpp"
 #include "core/flow_tables.hpp"
-#include "core/mafic_filter.hpp"
 #include "core/sharded_filter.hpp"
 #include "core/sharded_mafic_filter.hpp"
 #include "scenario/experiment.hpp"
@@ -198,7 +198,8 @@ TierResult run_tier(std::uint64_t population, std::uint64_t* sink) {
   return out;
 }
 
-/// Streams every flow through a real MaficFilter until all are tabled,
+/// Streams every flow through a real one-shard ShardedMaficFilter (the
+/// head mount's adapter) until all are tabled,
 /// then asserts the steady-state inspect() path performs zero heap
 /// allocations across millions of packets. Returns {ns/packet, allocs}.
 struct InspectResult {
@@ -220,7 +221,7 @@ InspectResult steady_state_inspect(std::uint64_t population,
   cfg.probe_enabled = false;  // probes need a wired topology
   cfg.default_rtt = 0.02;     // 0.04 s probation windows
 
-  core::MaficFilter filter(&sim, &factory, atr, cfg, nullptr, util::Rng(7));
+  core::ShardedMaficFilter filter(&sim, &factory, atr, 1, cfg, nullptr);
   class Sink final : public sim::Connector {
    public:
     void recv(sim::PacketPtr) override {}
@@ -239,7 +240,7 @@ InspectResult steady_state_inspect(std::uint64_t population,
   // Warmup rounds: every still-untabled flow offers one packet per round
   // (Pd = 0.9 admits most on first sight); advancing the clock fires the
   // wheel's decision timers, resolving each probation into NFT/PDT.
-  const auto& tables = filter.tables();
+  const auto& tables = filter.engine(0).tables();
   for (int round = 0; round < 80; ++round) {
     if (tables.nft_size() + tables.pdt_size() >= population) break;
     for (std::uint64_t i = 0; i < population; ++i) {
@@ -295,8 +296,7 @@ ShardedFixture build_sharded(std::size_t shards, std::uint64_t total_flows) {
   cfg.default_rtt = 0.02;
 
   ShardedFixture fx;
-  fx.filter = std::make_unique<core::ShardedFilter>(shards, cfg, nullptr,
-                                                    /*seed=*/42);
+  fx.filter = std::make_unique<core::ShardedFilter>(shards, cfg, nullptr);
   fx.filter->activate({util::make_addr(172, 17, 0, 1)});
 
   fx.stream.resize(shards);
@@ -787,7 +787,6 @@ FleetTierRun run_sim_fleet_once(std::size_t threads, bool fleet) {
   core::MaficConfig cfg;
   cfg.drop_probability = 0.9;
   cfg.probe_enabled = false;  // no wired victim topology in this fixture
-  cfg.coin_mode = core::CoinMode::kPacketHash;
   cfg.coin_seed = 0x5eedULL;
   // Pin every probation window to 2 x max_rtt = 0.2 s: flows admitted at
   // kFleetAdmitTime stay suspicious past the last delivery tick, so the
@@ -807,8 +806,7 @@ FleetTierRun run_sim_fleet_once(std::size_t threads, bool fleet) {
     sim::Node* atr =
         net.add_router(util::make_addr(10, 0, std::uint8_t(f + 1), 1));
     filters.push_back(std::make_unique<core::ShardedMaficFilter>(
-        &sim, &factory, atr, kFleetShards, cfg, nullptr,
-        0xf1ee7000ULL + f, pool.get()));
+        &sim, &factory, atr, kFleetShards, cfg, nullptr, pool.get()));
     core::ShardedMaficFilter* filter = filters.back().get();
     if (fleet && threads > 0) filter->set_fleet(sched.get());
     filter->set_target(&sinks[f]);
@@ -1328,7 +1326,7 @@ int main(int argc, char** argv) {
   // Full-datapath assertion: steady-state inspect() must be allocation-
   // free (Packet freelist + flat store + inline timer callbacks).
   const InspectResult inspect = steady_state_inspect(100'000, 2'000'000);
-  std::printf("\nMaficFilter steady-state inspect(): %.2f ns/pkt, "
+  std::printf("\nHead filter steady-state inspect(): %.2f ns/pkt, "
               "%llu heap allocations over 2M packets\n",
               inspect.ns_per_packet,
               static_cast<unsigned long long>(inspect.allocs));

@@ -33,7 +33,7 @@ static void part1_engine_partitioning() {
   cfg.drop_probability = 1.0;   // deterministic admission for the demo
   cfg.probe_enabled = false;
 
-  core::EngineRuntime rt(cfg, nullptr, util::Rng(7));
+  core::EngineRuntime rt(cfg, nullptr);
   core::FilterEngine& engine = rt.engine();
 
   const util::Addr victim_a = util::make_addr(172, 17, 0, 1);

@@ -7,13 +7,9 @@
 /// probability." Flow-blind Pd dropping on everything bound for the
 /// victim.
 ///
-/// Coin modes mirror core::CoinMode: the legacy kRngStream draws one
-/// Bernoulli per hot packet from the filter's RNG in inspection order
-/// (order-dependent — fine for a single serial filter), while
-/// kPacketHash derives the coin statelessly from (coin_seed, flow-label
-/// hash, packet uid) exactly like FilterEngine's packet-hash Pd coin, so
-/// a packet's fate is independent of inspection order and batching. The
-/// inspect_burst override exploits that: under burst links it walks the
+/// The coin is FilterEngine's Pd coin (util::hash_coin over coin_seed,
+/// flow-label hash and packet uid), so a packet's fate is independent of
+/// inspection order and batching: the inspect_burst override walks the
 /// span without touching any mutable coin state, and its verdict stream
 /// is bit-identical to the per-packet path (test_baseline pins both the
 /// identity and golden drop counts at fixed seeds).
@@ -23,7 +19,6 @@
 #include "core/actuator.hpp"
 #include "sim/connector.hpp"
 #include "util/hash.hpp"
-#include "util/rng.hpp"
 
 namespace mafic::baseline {
 
@@ -36,11 +31,8 @@ class ProportionalDropper final : public sim::InlineFilter,
     std::uint64_t forwarded = 0;
   };
 
-  /// Pd coin source (see file comment).
-  enum class CoinKind : std::uint8_t { kRngStream, kPacketHash };
-
-  ProportionalDropper(double drop_probability, util::Rng rng)
-      : pd_(drop_probability), rng_(rng) {}
+  ProportionalDropper(double drop_probability, std::uint64_t coin_seed)
+      : pd_(drop_probability), coin_seed_(coin_seed) {}
 
   // --- DefenseActuator ---
   void activate(const core::VictimSet& victims) override {
@@ -59,25 +51,14 @@ class ProportionalDropper final : public sim::InlineFilter,
     on_offered_ = std::move(cb);
   }
 
-  /// Switches to the stateless packet-hash coin (or back). Call before
-  /// traffic flows; changing mid-run changes the coin stream, nothing
-  /// else.
-  void set_coin(CoinKind kind, std::uint64_t seed = 0) noexcept {
-    coin_kind_ = kind;
-    coin_seed_ = seed;
-  }
-  CoinKind coin_kind() const noexcept { return coin_kind_; }
-
   double drop_probability() const noexcept { return pd_; }
   const Stats& stats() const noexcept { return stats_; }
 
  protected:
   Decision inspect(sim::Packet& p) override { return decide(p); }
 
-  /// Span walk sharing decide(): with kPacketHash coins this reads no
-  /// mutable coin state, so verdicts are bit-identical to per-packet
-  /// inspection (with kRngStream it simply preserves the draw order the
-  /// per-packet path would use).
+  /// Span walk sharing decide(): the coin reads no mutable state, so
+  /// verdicts are bit-identical to per-packet inspection.
   void inspect_burst(sim::PacketPtr* pkts, std::size_t n,
                      Decision* out) override {
     for (std::size_t i = 0; i < n; ++i) out[i] = decide(*pkts[i]);
@@ -90,7 +71,8 @@ class ProportionalDropper final : public sim::InlineFilter,
     }
     ++stats_.offered;
     if (on_offered_) on_offered_(p);
-    if (drop_coin(p)) {
+    if (util::hash_coin(pd_, coin_seed_, sim::hash_label(p.label),
+                        p.uid)) {
       ++stats_.dropped;
       return Decision::drop(sim::DropReason::kDefenseBaseline);
     }
@@ -98,22 +80,8 @@ class ProportionalDropper final : public sim::InlineFilter,
     return Decision::forward();
   }
 
-  /// True = drop. The packet-hash branch is the same construction as
-  /// FilterEngine's kPacketHash Pd coin: 53 uniform mantissa bits from a
-  /// mix of seed, flow key and uid.
-  bool drop_coin(const sim::Packet& p) {
-    if (coin_kind_ == CoinKind::kRngStream) return rng_.bernoulli(pd_);
-    if (pd_ <= 0.0) return false;
-    if (pd_ >= 1.0) return true;
-    const std::uint64_t h = util::mix64(coin_seed_ ^ hash_label(p.label) ^
-                                        util::mix64(p.uid));
-    return static_cast<double>(h >> 11) * 0x1.0p-53 < pd_;
-  }
-
   double pd_;
-  util::Rng rng_;
-  CoinKind coin_kind_ = CoinKind::kRngStream;
-  std::uint64_t coin_seed_ = 0;
+  std::uint64_t coin_seed_;
   bool active_ = false;
   core::VictimSet victims_;
   OfferedCallback on_offered_;

@@ -16,10 +16,10 @@
 ///                  source (a wired Prober in simulation, a raw socket in
 ///                  a deployment, a counter in benches)
 ///
-/// The discrete-event adapter is core::MaficFilter; the standalone
-/// shard runtime is core::EngineRuntime (standalone_runtime.hpp). Both
-/// drive the *same* engine object, which is what lets the fixed-seed
-/// classification goldens pin the sharded datapath too.
+/// The discrete-event adapter is core::ShardedMaficFilter; the
+/// standalone shard runtime is core::EngineRuntime
+/// (standalone_runtime.hpp). Both drive the *same* engine object, which
+/// is what lets the fixed-seed classification goldens pin either.
 ///
 /// Journaled (speculative-threaded) seams: when several engines run
 /// their sub-spans of one burst on worker threads, the seam

@@ -8,15 +8,14 @@ namespace mafic::core {
 
 FilterEngine::FilterEngine(MaficConfig cfg, Clock* clock,
                            TimerService* timers, ProbeSink* probes,
-                           const AddressPolicy* policy, util::Rng rng)
+                           const AddressPolicy* policy)
     : cfg_(cfg),
       clock_(clock),
       timers_(timers),
       probes_(probes),
       tables_(cfg_),
       rtt_(cfg_),
-      policy_(policy),
-      rng_(rng) {
+      policy_(policy) {
   // Probations leaving the SFT without a decision (capacity/quota
   // eviction or flush) must not leave their probe/decision timers armed:
   // the stale callbacks could fire into a *new* probation of the same
@@ -198,13 +197,6 @@ void FilterEngine::inspect_batch_keyed(const sim::Packet* const* pkts,
   }
 }
 
-bool FilterEngine::pd_coin(const sim::Packet& p, std::uint64_t key) {
-  if (cfg_.coin_mode == CoinMode::kPacketHash) {
-    return hash_coin(cfg_, key, p.uid);
-  }
-  return rng_.bernoulli(cfg_.drop_probability);
-}
-
 // maficlint: hot
 EngineVerdict FilterEngine::inspect_keyed(const sim::Packet& p,
                                           std::uint64_t key) {
@@ -250,7 +242,7 @@ EngineVerdict FilterEngine::classify_slow(const sim::Packet& p,
       } else {
         ++e->probe_count;
       }
-      const bool drop_it = cfg_.drop_all_in_sft || pd_coin(p, key);
+      const bool drop_it = cfg_.drop_all_in_sft || pd_coin(key, p.uid);
       if (drop_it) {
         ++stats_.dropped_probation;
         return EngineVerdict::kDropProbation;
@@ -274,7 +266,7 @@ EngineVerdict FilterEngine::classify_slow(const sim::Packet& p,
   }
 
   // "Drop packet with probability Pd"; the drop is what opens probation.
-  if (pd_coin(p, key)) {
+  if (pd_coin(key, p.uid)) {
     admit(p, key);
     ++stats_.dropped_probation;
     return EngineVerdict::kDropProbation;

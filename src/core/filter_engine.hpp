@@ -16,7 +16,7 @@
 ///                    probe and the 2 x RTT response timer
 ///
 /// The engine owns the per-flow state (FlowTables store + arena, RTT
-/// estimator, Pd RNG) and reaches its environment only through the
+/// estimator) and reaches its environment only through the
 /// Clock / TimerService / ProbeSink seams (engine_seams.hpp). One engine
 /// is single-threaded by construction; multi-core deployments run one
 /// engine per shard with flows partitioned by key hash (sharded_filter.hpp)
@@ -28,7 +28,7 @@
 /// per-packet table state into parallel arrays, a table-driven lane
 /// select, and one in-arrival-order verdict walk whose fast lanes
 /// (resident NFT/PDT, live probations) skip the scalar branch ladder.
-/// Decisions, stats, RNG draws and callback order are identical to
+/// Decisions, stats and callback order are identical to
 /// per-packet inspect() calls in the same order: stateful packets fall
 /// back to the scalar tail, and a per-packet epoch check reroutes
 /// anything materialized before a structural table mutation.
@@ -43,7 +43,7 @@
 #include "core/flow_tables.hpp"
 #include "core/rtt_estimator.hpp"
 #include "sim/packet.hpp"
-#include "util/rng.hpp"
+#include "util/hash.hpp"
 
 namespace mafic::core {
 
@@ -95,8 +95,7 @@ class FilterEngine {
   /// All seam pointers are non-owning and must outlive the engine.
   /// `policy` may be null (no source screening).
   FilterEngine(MaficConfig cfg, Clock* clock, TimerService* timers,
-               ProbeSink* probes, const AddressPolicy* policy,
-               util::Rng rng);
+               ProbeSink* probes, const AddressPolicy* policy);
 
   // Not movable: tables_/rtt_ reference the engine's own cfg_, and the
   // eviction hook captures `this`. Heap-allocate and keep put.
@@ -189,8 +188,8 @@ class FilterEngine {
   const VictimSet& victims() const noexcept { return victims_; }
 
  private:
-  /// The staged batch pipeline reaches the engine's tables, stats, RNG
-  /// and callbacks directly; it lives in its own header so FilterEngine
+  /// The staged batch pipeline reaches the engine's tables, stats and
+  /// callbacks directly; it lives in its own header so FilterEngine
   /// and ShardedFilter share ONE lane implementation.
   friend class VerdictPipeline;
 
@@ -208,20 +207,11 @@ class FilterEngine {
   template <typename GetPacket>
   void inspect_batch_impl(GetPacket&& get, std::size_t n,
                           EngineVerdict* out);
-  /// The Pd coin under the configured CoinMode.
-  bool pd_coin(const sim::Packet& p, std::uint64_t key);
-  /// The stateless CoinMode::kPacketHash coin as a pure function — shared
-  /// by pd_coin and the pipeline's branchless pass-3 precompute.
-  static bool hash_coin(const MaficConfig& cfg, std::uint64_t key,
-                        std::uint64_t uid) noexcept {
-    const double pd = cfg.drop_probability;
-    if (pd <= 0.0) return false;
-    if (pd >= 1.0) return true;
-    // Stateless per-packet draw: same (seed, flow, packet) -> same coin,
-    // regardless of which engine inspects it or what interleaves.
-    const std::uint64_t h =
-        util::mix64(cfg.coin_seed ^ key ^ util::mix64(uid));
-    return static_cast<double>(h >> 11) * 0x1.0p-53 < pd;
+  /// The Pd coin (true = drop): a pure function of (coin_seed, flow key,
+  /// packet uid), shared by the scalar walk and the pipeline's pass-3
+  /// precompute.
+  bool pd_coin(std::uint64_t key, std::uint64_t uid) const noexcept {
+    return util::hash_coin(cfg_.drop_probability, cfg_.coin_seed, key, uid);
   }
   /// Resolves a probation according to the two half-window counts.
   TableKind decide(std::uint64_t key);
@@ -237,7 +227,6 @@ class FilterEngine {
   FlowTables tables_;
   RttEstimator rtt_;
   const AddressPolicy* policy_;
-  util::Rng rng_;
 
   bool active_ = false;
   VictimSet victims_;

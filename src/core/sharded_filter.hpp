@@ -5,16 +5,14 @@
 ///
 /// Shard-partition invariant: flow key `k` lives on shard
 /// `shard_of(k) = top log2(N) bits of k`, and ONLY that shard ever touches
-/// `k`'s table entry, probation timers or RNG. Each shard is a complete
-/// EngineRuntime (flat store + arena, timer wheel, clock, RNG, probe
-/// counter) with zero shared mutable state, so a driver may run one thread
-/// per shard with no locks: equivalence with a single engine is structural,
+/// `k`'s table entry or probation timers. Each shard is a complete
+/// EngineRuntime (flat store + arena, timer wheel, clock, probe counter)
+/// with zero shared mutable state, so a driver may run one thread per
+/// shard with no locks: equivalence with a single engine is structural,
 /// not synchronized (test_core_sharded_filter pins it; the TSan CI job
-/// watches the threaded bench driver).
-///
-/// Per-shard RNG streams derive deterministically from one base seed
-/// (shard_seed), so a single-shard engine fed shard i's substream with
-/// shard_seed(seed, i) reproduces shard i's decisions bit-for-bit.
+/// watches the threaded bench driver). The Pd coin is a pure function of
+/// (coin_seed, flow key, packet uid), so a single engine fed shard i's
+/// substream reproduces shard i's decisions bit-for-bit.
 ///
 /// The ShardedFilter itself spawns no threads: it is the passive state +
 /// routing layer. Drivers (bench_flow_store_scale's multi-threaded
@@ -39,7 +37,6 @@
 #include <vector>
 
 #include "core/standalone_runtime.hpp"
-#include "util/hash.hpp"
 
 namespace mafic::core {
 
@@ -68,20 +65,15 @@ class ShardedFilter {
   /// hold N times the flows of one engine, mirroring per-core table
   /// memory.
   ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
-                const AddressPolicy* policy, std::uint64_t seed);
+                const AddressPolicy* policy);
 
   /// External-seams mode: engines bind to the provided environment
-  /// instead of private EngineRuntimes.
+  /// instead of private EngineRuntimes. The unnamed seed is ignored; it
+  /// is kept for perfbench, which still passes one — delete it at the
+  /// next benchmark change.
   ShardedFilter(std::size_t shard_count, const MaficConfig& cfg,
-                const AddressPolicy* policy, std::uint64_t seed,
+                const AddressPolicy* policy, std::uint64_t /*unused*/,
                 const SeamProvider& seams);
-
-  /// Deterministic per-shard RNG seed derivation; exposed so equivalence
-  /// tests can rebuild shard i's stream in a standalone engine.
-  static std::uint64_t shard_seed(std::uint64_t base_seed,
-                                  std::size_t shard) noexcept {
-    return util::mix64(base_seed ^ (0x9e3779b97f4a7c15ULL * (shard + 1)));
-  }
 
   std::size_t shard_count() const noexcept { return engines_.size(); }
 

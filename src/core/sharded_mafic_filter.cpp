@@ -14,7 +14,6 @@ ShardedMaficFilter::ShardedMaficFilter(sim::Simulator* sim,
                                        std::size_t num_shards,
                                        MaficConfig cfg,
                                        const AddressPolicy* policy,
-                                       std::uint64_t seed,
                                        ShardWorkerPool* pool)
     : atr_node_(atr_node),
       clock_(sim),
@@ -22,7 +21,7 @@ ShardedMaficFilter::ShardedMaficFilter(sim::Simulator* sim,
       prober_(sim, factory, atr_node, cfg),
       shard_sinks_(ShardedFilter::usable_shard_count(num_shards)),
       pool_(pool),
-      sharded_(num_shards, cfg, policy, seed,
+      sharded_(num_shards, cfg, policy, /*unused=*/0,
                [this](std::size_t i) {
                  shard_sinks_[i].wire = &prober_;
                  if (pool_ == nullptr) {
@@ -115,13 +114,15 @@ sim::InlineFilter::Decision ShardedMaficFilter::inspect(sim::Packet& p) {
 void ShardedMaficFilter::inspect_burst(sim::PacketPtr* pkts, std::size_t n,
                                        Decision* out) {
   if (n > max_burst_) max_burst_ = n;
-  if (pool_ == nullptr) {
-    inspect_burst_via(sharded_, pkts, n, batch_ptrs_, batch_verdicts_, out);
-    return;
-  }
   batch_ptrs_.resize(n);
   for (std::size_t i = 0; i < n; ++i) batch_ptrs_[i] = pkts[i].get();
-  inspect_burst_threaded(n, out);
+  if (pool_ != nullptr) {
+    inspect_burst_threaded(n, out);
+    return;
+  }
+  batch_verdicts_.resize(n);
+  sharded_.inspect_batch(batch_ptrs_.data(), n, batch_verdicts_.data());
+  for (std::size_t i = 0; i < n; ++i) out[i] = to_decision(batch_verdicts_[i]);
 }
 
 void ShardedMaficFilter::run_shard(std::size_t s) {

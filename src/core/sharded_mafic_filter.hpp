@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file sharded_mafic_filter.hpp
-/// The multi-core MAFIC datapath inside the discrete-event simulator: a
-/// sim adapter that mounts a core::ShardedFilter (N engines partitioned
-/// by flow-key hash) behind the same seams MaficFilter uses —
+/// The MAFIC datapath inside the discrete-event simulator: the one sim
+/// adapter, mounting a core::ShardedFilter (N engines partitioned by
+/// flow-key hash; N = 1 is the plain single-engine filter) on an ingress
+/// link of an Attack-Transit Router through these seams —
 ///   Clock        -> the simulation clock (one SimClock, all shards)
 ///   TimerService -> the simulator's shared hierarchical wheel (the sim
 ///                   is single-threaded, so shards can share it; a
@@ -17,14 +18,16 @@
 ///                   wire in arrival order — exactly as one engine would
 ///                   emit them. The sinks keep per-shard counts.
 ///
-/// Placement: unlike the scalar MaficFilter (head of the ingress uplink,
-/// i.e. before the link queue), this adapter is installed at the
+/// Placement: the adapter serves two mount points. At the HEAD of the
+/// ingress uplink (SimplexLink::add_head_filter), before the link queue,
+/// it is the paper's section IV ns-2 placement, which the figure benches
+/// use (Experiment with num_shards = 0 mounts one shard there). At the
 /// RECEIVING end of the uplink (SimplexLink::add_tail_tap) — the ATR
-/// router's ingress side — because that is where the link's burst mode
-/// delivers coalesced departure spans. Bursts route through
-/// inspect_burst; with no worker pool they run the serial in-order walk
-/// (ShardedFilter::inspect_batch, shared partition pass + windowed
-/// prefetch + sequential classification by home engine).
+/// router's ingress side — the link's burst mode delivers coalesced
+/// departure spans; every scaled strategy mounts it there. Bursts route
+/// through inspect_burst; with no worker pool they run the serial
+/// in-order walk (ShardedFilter::inspect_batch, shared partition pass +
+/// windowed prefetch + sequential classification by home engine).
 ///
 /// Speculative threaded mode (pool != nullptr): the burst span is fanned
 /// out to a persistent ShardWorkerPool, one task per shard. The
@@ -36,7 +39,7 @@
 /// sub-spans (stable within-shard arrival order) off the partition
 /// arrays. Each worker then runs its shard's
 /// FilterEngine::inspect_batch_keyed against
-/// shard-local store/wheel-slots/RNG — recording every timer schedule,
+/// shard-local store and wheel slots — recording every timer schedule,
 /// cancel, probe request and callback into that shard's ShardSeamJournal
 /// instead of touching the shared wheel, prober or ledger. After the
 /// join, the sim thread merges the journals deterministically (a single
@@ -49,8 +52,8 @@
 /// (test_core_threaded_sim pins this; the TSan CI job race-checks the
 /// fan-out/join and journal handoff).
 ///
-/// Scalar equivalence: with CoinMode::kPacketHash (a flow's Pd coins
-/// depend only on (coin_seed, flow key, packet uid)), every per-flow
+/// Scalar equivalence: a flow's Pd coins depend only on (coin_seed, flow
+/// key, packet uid), so every per-flow
 /// quantity this adapter computes — admission times, half-window counts,
 /// probe schedules, NFT/PDT verdicts — is identical for num_shards = 1
 /// and num_shards = N, because all cross-flow coupling is gone: flows
@@ -97,15 +100,14 @@ class ShardedMaficFilter final : public sim::InlineFilter,
                                  public DefenseActuator {
  public:
   /// `num_shards` rounds up to a power of two (see
-  /// ShardedFilter::usable_shard_count). `seed` derives the per-shard
-  /// RNG streams (unused for coins under kPacketHash, which reads
-  /// cfg.coin_seed instead). `pool` (non-owning, may be shared across
-  /// filters, must outlive this one) switches bursts onto the
-  /// speculative threaded path; nullptr keeps the serial in-order walk.
+  /// ShardedFilter::usable_shard_count). `pool` (non-owning, may be
+  /// shared across filters, must outlive this one) switches bursts onto
+  /// the speculative threaded path; nullptr keeps the serial in-order
+  /// walk.
   ShardedMaficFilter(sim::Simulator* sim, sim::PacketFactory* factory,
                      sim::Node* atr_node, std::size_t num_shards,
                      MaficConfig cfg, const AddressPolicy* policy,
-                     std::uint64_t seed, ShardWorkerPool* pool = nullptr);
+                     ShardWorkerPool* pool = nullptr);
 
   // --- DefenseActuator ---
   void activate(const VictimSet& victims) override {

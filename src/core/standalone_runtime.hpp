@@ -22,7 +22,6 @@
 #include "core/engine_seams.hpp"
 #include "core/filter_engine.hpp"
 #include "sim/timer_wheel.hpp"
-#include "util/rng.hpp"
 
 namespace mafic::core {
 
@@ -94,10 +93,9 @@ class CountingProbeSink final : public ProbeSink {
 /// seam pointers); heap-allocate and keep put.
 class EngineRuntime {
  public:
-  EngineRuntime(const MaficConfig& cfg, const AddressPolicy* policy,
-                util::Rng rng)
+  EngineRuntime(const MaficConfig& cfg, const AddressPolicy* policy)
       : timers_(&clock_, cfg.timer_wheel_resolution),
-        engine_(cfg, &clock_, &timers_, &probes_, policy, rng) {}
+        engine_(cfg, &clock_, &timers_, &probes_, policy) {}
 
   EngineRuntime(const EngineRuntime&) = delete;
   EngineRuntime& operator=(const EngineRuntime&) = delete;

@@ -38,8 +38,9 @@ class PushbackCoordinator {
   PushbackCoordinator(const PushbackCoordinator&) = delete;
   PushbackCoordinator& operator=(const PushbackCoordinator&) = delete;
 
-  /// Registers a defense actuator living at `router` (e.g. a MaficFilter
-  /// on one of its ingress links). Multiple actuators per router are fine.
+  /// Registers a defense actuator living at `router` (e.g. a
+  /// ShardedMaficFilter on one of its ingress links). Multiple actuators
+  /// per router are fine.
   void register_actuator(sim::NodeId router, core::DefenseActuator* a);
 
   /// First-engagement notification (used by the ledger to set the

@@ -32,6 +32,12 @@ void VictimDetector::on_epoch(const sketch::TrafficMatrixSnapshot& snap) {
         }
         continue;  // baseline frozen while alarming
       }
+      // After warmup, an epoch above the clear band is not normal
+      // traffic either: absorbing it would let a flood that ramps in
+      // under trigger_factor per epoch drag the baseline up and never
+      // alarm. During warmup every epoch feeds the baseline, so it can
+      // settle from its first-epoch self-baseline.
+      if (warm && d > cfg_.clear_factor * base) continue;
       st.baseline.update(d);
     } else {
       // Clear hysteresis must honor the same absolute floor the trigger

@@ -4,7 +4,9 @@
 /// Watches the per-epoch traffic-matrix snapshots and raises an alarm when
 /// some router's egress cardinality |Dj| becomes "abnormally high"
 /// (paper section II) relative to its EWMA baseline. Baselines freeze
-/// while a router is alarming so the attack does not poison them.
+/// while a router is alarming, and after warmup also on any epoch above
+/// clear_factor x baseline, so neither an attack nor its ramp-up poisons
+/// them.
 
 #include <functional>
 #include <vector>

@@ -42,13 +42,9 @@ Experiment::Experiment(ExperimentConfig cfg)
       ledger_(cfg.series_bin_width) {
   cfg_.mafic.drop_probability = cfg_.drop_probability;
   cfg_.mafic.sft_victim_quota = cfg_.sft_victim_quota;
-  if (cfg_.num_shards > 0) {
-    // The sharded adapter's scalar-vs-sharded equivalence needs
-    // interleaving-independent Pd coins; seed them from the experiment
-    // seed so only num_shards may differ between compared runs.
-    cfg_.mafic.coin_mode = core::CoinMode::kPacketHash;
-    cfg_.mafic.coin_seed = util::mix64(cfg_.seed ^ 0xc0115eedULL);
-  }
+  // Pd coins are seeded from the experiment seed, so runs that differ
+  // only in their datapath strategy draw identical coins.
+  cfg_.mafic.coin_seed = util::mix64(cfg_.seed ^ 0xc0115eedULL);
 }
 
 Experiment::~Experiment() = default;
@@ -364,44 +360,37 @@ void Experiment::build_defense() {
     sim::Node* atr = net_->node(access.router);
     switch (cfg_.defense) {
       case DefenseKind::kMafic: {
-        if (cfg_.num_shards > 0) {
-          // Sharded datapath: the filter sits at the receiving end of
-          // the uplink, where burst mode delivers coalesced spans.
-          auto filter = std::make_unique<core::ShardedMaficFilter>(
-              &sim_, &factory_, atr, cfg_.num_shards, cfg_.mafic,
-              policy_.get(), /*seed=*/rng_.next(), shard_pool_.get());
-          filter->set_offered_callback([this](const sim::Packet& p) {
-            ledger_.on_defense_offered(p, sim_.now());
-          });
-          core::ShardedMaficFilter* raw = filter.get();
-          if (!quota_weights.empty()) raw->set_victim_weights(quota_weights);
-          access.uplink->add_tail_tap(std::move(filter));
-          if (fleet_ != nullptr) {
-            // Defer this filter's spans into the shared tick drain and
-            // tag the uplink's deliveries batchable so the simulator can
-            // coalesce same-instant spans across the fleet.
-            raw->set_fleet(fleet_.get());
-            access.uplink->transmitter().set_batchable_delivery(true);
-          }
-          sharded_filters_.push_back(raw);
-          coordinator_->register_actuator(access.router, raw);
-          break;
-        }
-        auto filter = std::make_unique<core::MaficFilter>(
-            &sim_, &factory_, atr, cfg_.mafic, policy_.get(), rng_.split());
+        auto filter = std::make_unique<core::ShardedMaficFilter>(
+            &sim_, &factory_, atr, cfg_.num_shards, cfg_.mafic,
+            policy_.get(), shard_pool_.get());
         filter->set_offered_callback([this](const sim::Packet& p) {
           ledger_.on_defense_offered(p, sim_.now());
         });
-        core::MaficFilter* raw = filter.get();
+        core::ShardedMaficFilter* raw = filter.get();
         if (!quota_weights.empty()) raw->set_victim_weights(quota_weights);
-        access.uplink->add_head_filter(std::move(filter));
-        mafic_filters_.push_back(raw);
+        if (cfg_.num_shards == 0) {
+          // The paper's placement: one shard at the uplink head, dropping
+          // before the link queue.
+          access.uplink->add_head_filter(std::move(filter));
+        } else {
+          // Scaled datapath: the receiving end of the uplink, where burst
+          // mode delivers coalesced spans.
+          access.uplink->add_tail_tap(std::move(filter));
+        }
+        if (fleet_ != nullptr) {
+          // Defer this filter's spans into the shared tick drain and tag
+          // the uplink's deliveries batchable so the simulator can
+          // coalesce same-instant spans across the fleet.
+          raw->set_fleet(fleet_.get());
+          access.uplink->transmitter().set_batchable_delivery(true);
+        }
+        sharded_filters_.push_back(raw);
         coordinator_->register_actuator(access.router, raw);
         break;
       }
       case DefenseKind::kProportional: {
         auto filter = std::make_unique<baseline::ProportionalDropper>(
-            cfg_.drop_probability, rng_.split());
+            cfg_.drop_probability, cfg_.mafic.coin_seed);
         filter->set_offered_callback([this](const sim::Packet& p) {
           ledger_.on_defense_offered(p, sim_.now());
         });
@@ -428,16 +417,6 @@ void Experiment::build_defense() {
 VictimBreakdown Experiment::victim_breakdown(util::Addr victim) const {
   VictimBreakdown b;
   b.victim = victim;
-  for (const auto* f : mafic_filters_) {
-    const auto& per = f->engine().victim_stats();
-    const auto it = per.find(victim);
-    if (it == per.end()) continue;
-    b.decided_nice += it->second.decided_nice;
-    b.decided_malicious += it->second.decided_malicious;
-    b.screened_sources += it->second.screened_sources;
-    b.evictions += it->second.evictions;
-    b.quota_evictions += it->second.quota_evictions;
-  }
   for (const auto* f : sharded_filters_) {
     const auto vs = f->victim_stats_for(victim);
     b.decided_nice += vs.decided_nice;
@@ -506,16 +485,6 @@ ExperimentResult Experiment::snapshot_result() const {
   r.attack_flows = attack_count_;
   r.events_processed = sim_.events_processed();
 
-  for (const auto* f : mafic_filters_) {
-    const auto& ts = f->tables().stats();
-    r.sft_admissions += ts.sft_admissions;
-    r.sft_evictions += ts.sft_evictions;
-    r.quota_evictions += ts.quota_evictions;
-    r.moved_to_nft += ts.moved_to_nft;
-    r.moved_to_pdt += ts.moved_to_pdt;
-    r.screened_sources += f->stats().screened_sources;
-    r.probes_issued += f->stats().probes_issued;
-  }
   for (const auto* f : sharded_filters_) {
     const auto ts = f->tables_stats();
     r.sft_admissions += ts.sft_admissions;

@@ -39,7 +39,6 @@
 #include "baseline/proportional_dropper.hpp"
 #include "core/address_policy.hpp"
 #include "core/fleet_burst_scheduler.hpp"
-#include "core/mafic_filter.hpp"
 #include "core/sharded_mafic_filter.hpp"
 #include "metrics/ledger.hpp"
 #include "metrics/report.hpp"
@@ -177,14 +176,15 @@ struct ExperimentConfig {
   /// entries weigh 1.0, extra entries are ignored). Empty = equal split.
   std::vector<double> sft_victim_weights;
 
-  /// Sharded ATR datapath. 0 (default) = the scalar MaficFilter at the
-  /// head of each ingress uplink — the legacy, golden-pinned path.
-  /// >= 1 (power of two) = a ShardedMaficFilter with this many engine
-  /// shards at the RECEIVING end of each ingress uplink, fed link bursts
-  /// through ShardedFilter::inspect_batch. Forces
-  /// MaficConfig::coin_mode = kPacketHash (seeded from `seed`) so runs
-  /// that differ only in num_shards make identical per-flow
-  /// classification decisions — num_shards = 1 is the scalar comparator.
+  /// ATR datapath placement. Every MAFIC filter is a ShardedMaficFilter.
+  /// 0 (default) = one shard at the HEAD of each ingress uplink, dropping
+  /// before the link queue — the paper's section IV placement, which the
+  /// figure benches use. >= 1 (power of two) = this many engine shards at
+  /// the RECEIVING end of each ingress uplink, fed link bursts through
+  /// ShardedFilter::inspect_batch. Pd coins are seeded from `seed`
+  /// (MaficConfig::coin_seed), so runs that differ only in num_shards
+  /// >= 1 make identical per-flow classification decisions —
+  /// num_shards = 1 is the scalar comparator.
   std::size_t num_shards = 0;
 
   /// Speculative threaded sim shards (requires num_shards >= 1). 0
@@ -322,10 +322,8 @@ class Experiment {
   pushback::ControlPlane* control_plane() noexcept {
     return control_plane_.get();
   }
-  const std::vector<core::MaficFilter*>& mafic_filters() const noexcept {
-    return mafic_filters_;
-  }
-  /// Sharded-datapath filters (non-empty iff cfg.num_shards > 0).
+  /// The MAFIC filters, one per ingress uplink, at either mount point
+  /// (non-empty iff defense == kMafic). The name is kept for perfbench.
   const std::vector<core::ShardedMaficFilter*>& sharded_filters()
       const noexcept {
     return sharded_filters_;
@@ -394,7 +392,6 @@ class Experiment {
 
   // Filters are owned by their links and actuated through coordinator_;
   // we keep handles to the MAFIC ones for their stats.
-  std::vector<core::MaficFilter*> mafic_filters_;
   std::vector<core::ShardedMaficFilter*> sharded_filters_;
   /// Routers the scripted trigger activated (sorted; empty before it
   /// fires and in kDetector mode).

@@ -113,11 +113,12 @@ struct TimelineEvent {
 using Timeline = std::vector<TimelineEvent>;
 
 /// One datapath configuration the battery runs every scenario through.
-/// num_shards 0 = the legacy scalar filter at the uplink HEAD (drops
-/// before the queue, so its packet interleaving legitimately differs —
-/// it is smoke-checked, not bit-compared); num_shards >= 1 mounts the
-/// sharded engine at the uplink tail, where 1 is the scalar comparator
-/// of the PR 3 equivalence contract.
+/// num_shards 0 = one engine shard at the uplink HEAD, the paper's
+/// placement (it drops before the queue, so its packet interleaving
+/// legitimately differs from the tail strategies; it has its own golden
+/// fingerprints instead of a cross-strategy comparison); num_shards >= 1
+/// mounts the sharded engine at the uplink tail, where 1 is the scalar
+/// comparator of the scalar-vs-sharded equivalence contract.
 struct Strategy {
   const char* label = "scalar";
   std::size_t num_shards = 1;
@@ -132,7 +133,7 @@ struct Strategy {
 /// and therefore every per-flow decision — must match exactly.
 std::vector<Strategy> equivalence_strategies();
 
-/// The legacy head-filter strategy (per-packet, pre-queue drops).
+/// The head-filter strategy (per-packet, pre-queue drops).
 Strategy head_strategy();
 
 /// Compiles the declarative spec into a runnable ExperimentConfig

@@ -149,8 +149,8 @@ class InlineFilter : public Connector {
   }
 
   /// One decision per packet of the span, in order. The default inspects
-  /// packet-by-packet; batch-capable filters (MaficFilter,
-  /// ShardedMaficFilter) override to route the span into inspect_batch.
+  /// packet-by-packet; batch-capable filters (ShardedMaficFilter)
+  /// override to route the span into inspect_batch.
   virtual void inspect_burst(PacketPtr* pkts, std::size_t n,
                              Decision* out) {
     for (std::size_t i = 0; i < n; ++i) out[i] = inspect(*pkts[i]);

@@ -39,6 +39,19 @@ constexpr std::uint64_t fnv1a64(std::string_view bytes) noexcept {
   return h;
 }
 
+/// A stateless Bernoulli(p) draw keyed by (seed, key, uid): true with
+/// probability p, from 53 uniform mantissa bits of a mix of the three.
+/// The same triple always gives the same draw, whichever engine makes it
+/// and whatever interleaves — the MAFIC Pd coin (FilterEngine, keyed by
+/// flow key and packet uid) and the proportional baseline both use it.
+constexpr bool hash_coin(double p, std::uint64_t seed, std::uint64_t key,
+                         std::uint64_t uid) noexcept {
+  if (p <= 0.0) return false;
+  if (p >= 1.0) return true;
+  const std::uint64_t h = mix64(seed ^ key ^ mix64(uid));
+  return static_cast<double>(h >> 11) * 0x1.0p-53 < p;
+}
+
 /// Seeded mixing: h(seed, x). Distinct seeds give (empirically) independent
 /// hash functions, which the set-union sketches rely on.
 constexpr std::uint64_t seeded_hash(std::uint64_t seed,

@@ -13,10 +13,14 @@
 namespace mafic::baseline {
 namespace {
 
+/// A fresh packet from one source flow. Each gets its own uid, as a packet
+/// factory hands out, so each draws its own Pd coin.
 sim::PacketPtr victim_packet(util::Addr dst, std::uint32_t bytes = 1000) {
+  static std::uint64_t next_uid = 1;
   auto p = std::make_unique<sim::Packet>();
   p->label = sim::FlowLabel{util::make_addr(172, 16, 0, 1), dst, 1000, 80};
   p->size_bytes = bytes;
+  p->uid = next_uid++;
   return p;
 }
 
@@ -24,7 +28,7 @@ constexpr util::Addr kVictim = util::make_addr(172, 17, 0, 1);
 constexpr util::Addr kOther = util::make_addr(172, 17, 0, 2);
 
 TEST(ProportionalDropper, InactiveForwardsAll) {
-  ProportionalDropper d(0.9, util::Rng(1));
+  ProportionalDropper d(0.9, /*coin_seed=*/1);
   int forwarded = 0;
   class Count final : public sim::Connector {
    public:
@@ -39,7 +43,7 @@ TEST(ProportionalDropper, InactiveForwardsAll) {
 }
 
 TEST(ProportionalDropper, DropsAtConfiguredProbability) {
-  ProportionalDropper d(0.7, util::Rng(3));
+  ProportionalDropper d(0.7, /*coin_seed=*/3);
   d.activate({kVictim});
   int drops = 0;
   d.set_drop_handler([&](const sim::Packet&, sim::DropReason r,
@@ -57,7 +61,7 @@ TEST(ProportionalDropper, DropsAtConfiguredProbability) {
 TEST(ProportionalDropper, FlowBlindness) {
   // The defining weakness vs MAFIC: it keeps dropping forever, from every
   // flow alike, with no classification.
-  ProportionalDropper d(0.9, util::Rng(3));
+  ProportionalDropper d(0.9, /*coin_seed=*/3);
   d.activate({kVictim});
   int drops = 0;
   d.set_drop_handler(
@@ -70,7 +74,7 @@ TEST(ProportionalDropper, FlowBlindness) {
 }
 
 TEST(ProportionalDropper, OtherDestinationsUntouched) {
-  ProportionalDropper d(0.9, util::Rng(3));
+  ProportionalDropper d(0.9, /*coin_seed=*/3);
   d.activate({kVictim});
   int drops = 0;
   d.set_drop_handler(
@@ -81,7 +85,7 @@ TEST(ProportionalDropper, OtherDestinationsUntouched) {
 }
 
 TEST(ProportionalDropper, DeactivateStopsDropping) {
-  ProportionalDropper d(0.9, util::Rng(3));
+  ProportionalDropper d(0.9, /*coin_seed=*/3);
   d.activate({kVictim});
   d.deactivate();
   int drops = 0;
@@ -131,13 +135,11 @@ std::vector<sim::PacketPtr> coin_workload(bool reversed = false) {
 }
 
 TEST(ProportionalDropper, PacketHashCoinIsOrderAndBatchInvariant) {
-  // The stateless coin (the kPacketHash shape FilterEngine uses) must
-  // give each packet the same fate through per-packet recv, through
-  // burst spans, and in reversed inspection order — none of which holds
-  // for the stateful RNG stream.
+  // The stateless coin (FilterEngine's Pd coin) must give each packet
+  // the same fate through per-packet recv, through burst spans, and in
+  // reversed inspection order.
   const auto fresh = [] {
-    ProportionalDropper d(0.7, util::Rng(3));
-    d.set_coin(ProportionalDropper::CoinKind::kPacketHash, 0xfeedULL);
+    ProportionalDropper d(0.7, /*coin_seed=*/0xfeedULL);
     d.activate({kVictim});
     return d;
   };
@@ -160,8 +162,7 @@ TEST(ProportionalDropper, PacketHashCoinIsOrderAndBatchInvariant) {
 }
 
 TEST(ProportionalDropper, PacketHashCoinHitsConfiguredRate) {
-  ProportionalDropper d(0.7, util::Rng(3));
-  d.set_coin(ProportionalDropper::CoinKind::kPacketHash, 0x5eedULL);
+  ProportionalDropper d(0.7, /*coin_seed=*/0x5eedULL);
   d.activate({kVictim});
   int drops = 0;
   d.set_drop_handler(
@@ -175,11 +176,9 @@ TEST(ProportionalDropper, PacketHashCoinHitsConfiguredRate) {
   }
   EXPECT_NEAR(double(drops) / n, 0.7, 0.02);
   // Degenerate probabilities stay exact.
-  ProportionalDropper never(0.0, util::Rng(3));
-  never.set_coin(ProportionalDropper::CoinKind::kPacketHash, 1);
+  ProportionalDropper never(0.0, /*coin_seed=*/1);
   never.activate({kVictim});
-  ProportionalDropper always(1.0, util::Rng(3));
-  always.set_coin(ProportionalDropper::CoinKind::kPacketHash, 1);
+  ProportionalDropper always(1.0, /*coin_seed=*/1);
   always.activate({kVictim});
   const auto none = run_fates(never, coin_workload(), true);
   const auto all = run_fates(always, coin_workload(), true);

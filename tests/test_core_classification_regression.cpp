@@ -1,10 +1,11 @@
-// Fixed-seed regression pin for MaficFilter classification decisions.
+// Fixed-seed regression pin for the sim adapter's classification
+// decisions (one-shard ShardedMaficFilter, the head-mounted datapath).
 //
 // The flow store and probation timers were rebuilt (flat open-addressing
 // table + hierarchical timer wheel) on the premise that the *decisions* the
 // filter makes are bit-identical to the original map-based implementation.
 // This test drives the filter with a fully scripted packet schedule and a
-// fixed Rng seed and compares every probation outcome — flow, destination
+// fixed Pd coin seed and compares every probation outcome — flow, destination
 // table, and both half-window arrival counts — against goldens recorded
 // from the pre-refactor implementation.
 //
@@ -18,7 +19,7 @@
 #include <cstdlib>
 #include <vector>
 
-#include "core/mafic_filter.hpp"
+#include "core/sharded_mafic_filter.hpp"
 #include "sim/network.hpp"
 #include "sim/simulator.hpp"
 
@@ -54,8 +55,9 @@ std::vector<Outcome> run_scripted() {
   MaficConfig cfg;
   cfg.default_rtt = 0.04;  // 0.08 s probation window
   cfg.drop_probability = 0.9;
+  cfg.coin_seed = 42;
 
-  MaficFilter filter(&sim, &factory, atr, cfg, nullptr, util::Rng(42));
+  ShardedMaficFilter filter(&sim, &factory, atr, 1, cfg, nullptr);
 
   class Sink final : public sim::Connector {
    public:
@@ -123,7 +125,9 @@ struct GoldenRow {
 };
 
 // Recorded from the pre-refactor std::unordered_map implementation
-// (commit 96a7caa) with MAFIC_PRINT_GOLDEN=1.
+// (commit 96a7caa) with MAFIC_PRINT_GOLDEN=1, under the per-engine RNG
+// stream coin that implementation drew; the stateless Pd coin at
+// coin_seed 42 reproduces every row.
 constexpr GoldenRow kGolden[] = {
     {0, kPdt, 9, 10},  {1, kNft, 9, 5},   {3, kNft, 9, 2},
     {7, kNft, 9, 2},   {8, kPdt, 9, 10},  {9, kNft, 9, 5},

@@ -2,12 +2,17 @@
 // wheel): the Fig. 2 control flow with no simulator attached. The sim
 // adapter path is pinned by test_core_mafic_filter and the fixed-seed
 // classification goldens; these tests pin the seams themselves.
+//
+// The Pd coin is a pure function of (coin seed, flow key, packet uid),
+// so a loop waiting for admission re-sends its packet with a fresh uid,
+// as a packet factory would.
 
 #include "core/filter_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include "core/standalone_runtime.hpp"
+#include "util/rng.hpp"
 
 namespace mafic::core {
 namespace {
@@ -26,8 +31,15 @@ sim::Packet packet_for(std::uint32_t i, std::uint8_t victim_octet = 1) {
   return p;
 }
 
+/// The next packet of `p`'s flow.
+sim::Packet& next(sim::Packet& p) {
+  ++p.uid;
+  return p;
+}
+
 MaficConfig test_config() {
   MaficConfig cfg;
+  cfg.coin_seed = 42;
   cfg.default_rtt = 0.04;  // 0.08 s probation windows
   cfg.probe_enabled = true;
   return cfg;
@@ -36,7 +48,7 @@ MaficConfig test_config() {
 class FilterEngineTest : public ::testing::Test {
  protected:
   FilterEngineTest()
-      : runtime(test_config(), nullptr, util::Rng(42)),
+      : runtime(test_config(), nullptr),
         engine(runtime.engine()) {
     engine.activate({util::make_addr(172, 17, 0, 1)});
   }
@@ -46,7 +58,7 @@ class FilterEngineTest : public ::testing::Test {
 };
 
 TEST_F(FilterEngineTest, InactiveOrForeignPacketsForwardUntouched) {
-  EngineRuntime rt(test_config(), nullptr, util::Rng(1));
+  EngineRuntime rt(test_config(), nullptr);
   sim::Packet p = packet_for(0);
   EXPECT_EQ(rt.engine().inspect(p), EngineVerdict::kForward);  // inactive
   EXPECT_EQ(rt.engine().stats().offered, 0u);
@@ -57,11 +69,11 @@ TEST_F(FilterEngineTest, InactiveOrForeignPacketsForwardUntouched) {
 }
 
 TEST_F(FilterEngineTest, FirstDropOpensProbationWithTimers) {
-  // Pd = 0.9: hammer one flow until the coin admits it (first sight with
-  // seed 42 in practice, but the loop keeps the test seed-agnostic).
+  // Pd = 0.9: hammer one flow until the coin admits it (the loop keeps
+  // the test seed-agnostic).
   sim::Packet p = packet_for(7);
   for (int i = 0; i < 64 && engine.tables().sft_size() == 0; ++i) {
-    engine.inspect(p);
+    engine.inspect(next(p));
   }
   ASSERT_EQ(engine.tables().sft_size(), 1u);
   // Probe timer (midpoint) + decision timer ride this shard's wheel.
@@ -71,7 +83,7 @@ TEST_F(FilterEngineTest, FirstDropOpensProbationWithTimers) {
 
 TEST_F(FilterEngineTest, SilentFlowResolvesNiceAndProbeFires) {
   sim::Packet p = packet_for(7);
-  while (engine.tables().sft_size() == 0) engine.inspect(p);
+  while (engine.tables().sft_size() == 0) engine.inspect(next(p));
   // Advance past the 0.08 s deadline: probe fires at the midpoint, the
   // decision timer resolves the silent probation as nice (too thin).
   runtime.advance_until(0.2);
@@ -86,11 +98,11 @@ TEST_F(FilterEngineTest, SilentFlowResolvesNiceAndProbeFires) {
 
 TEST_F(FilterEngineTest, UnresponsiveFastFlowResolvesMalicious) {
   sim::Packet p = packet_for(9);
-  while (engine.tables().sft_size() == 0) engine.inspect(p);
+  while (engine.tables().sft_size() == 0) engine.inspect(next(p));
   // Keep the rate flat through both half-windows: 2 ms spacing.
   for (int i = 1; i <= 40; ++i) {
     runtime.advance_until(0.002 * i);
-    engine.inspect(p);
+    engine.inspect(next(p));
   }
   runtime.advance_until(0.5);
   EXPECT_EQ(engine.stats().decided_malicious, 1u);
@@ -100,7 +112,7 @@ TEST_F(FilterEngineTest, UnresponsiveFastFlowResolvesMalicious) {
 
 TEST_F(FilterEngineTest, DeactivateFlushesAndCancelsTimers) {
   sim::Packet p = packet_for(3);
-  while (engine.tables().sft_size() == 0) engine.inspect(p);
+  while (engine.tables().sft_size() == 0) engine.inspect(next(p));
   engine.deactivate();
   EXPECT_EQ(engine.tables().resident(), 0u);
   // The cancelled probe/decision timers must not fire.
@@ -113,7 +125,7 @@ TEST_F(FilterEngineTest, DeactivateFlushesAndCancelsTimers) {
 TEST(FilterEngineRefresh, TimesOutWithoutKeepAlive) {
   MaficConfig cfg = test_config();
   cfg.refresh_timeout = 0.5;
-  EngineRuntime rt(cfg, nullptr, util::Rng(3));
+  EngineRuntime rt(cfg, nullptr);
   rt.engine().activate({util::make_addr(172, 17, 0, 1)});
   ASSERT_TRUE(rt.engine().active());
 
@@ -131,18 +143,19 @@ TEST(FilterEngineRefresh, TimesOutWithoutKeepAlive) {
 }
 
 TEST(FilterEngineBatch, BatchedVerdictsMatchScalarExactly) {
-  // Two engines, same seed and config, same packet sequence: one inspects
+  // Two engines, same config, same packet sequence: one inspects
   // per packet, the other in bursts. Every verdict and every table
   // outcome must be identical — inspect_batch is an execution strategy,
   // not a semantic change.
   MaficConfig cfg = test_config();
-  EngineRuntime scalar_rt(cfg, nullptr, util::Rng(1234));
-  EngineRuntime batch_rt(cfg, nullptr, util::Rng(1234));
+  EngineRuntime scalar_rt(cfg, nullptr);
+  EngineRuntime batch_rt(cfg, nullptr);
   const VictimSet victims{util::make_addr(172, 17, 0, 1)};
   scalar_rt.engine().activate(victims);
   batch_rt.engine().activate(victims);
 
   util::Rng traffic(99);
+  std::uint64_t uid = 1;
   std::vector<sim::Packet> burst(64);
   std::vector<EngineVerdict> scalar_v(64);
   std::vector<EngineVerdict> batch_v(64);
@@ -156,6 +169,7 @@ TEST(FilterEngineBatch, BatchedVerdictsMatchScalarExactly) {
       const std::uint8_t octet = traffic.bernoulli(0.1) ? 99 : 1;
       p = packet_for(flow, octet);
       if (traffic.bernoulli(0.05)) p.proto = sim::Protocol::kControl;
+      p.uid = uid++;
     }
     for (std::size_t i = 0; i < burst.size(); ++i) {
       scalar_v[i] = scalar_rt.engine().inspect(burst[i]);
@@ -180,7 +194,7 @@ TEST(FilterEngineBatch, BatchedVerdictsMatchScalarExactly) {
 TEST(FilterEngineVictimStats, TracksDecisionsPerVictim) {
   MaficConfig cfg = test_config();
   cfg.drop_probability = 1.0;  // deterministic admission
-  EngineRuntime rt(cfg, nullptr, util::Rng(5));
+  EngineRuntime rt(cfg, nullptr);
   const util::Addr v1 = util::make_addr(172, 17, 0, 1);
   const util::Addr v2 = util::make_addr(172, 17, 0, 2);
   rt.engine().activate({v1, v2});

@@ -42,8 +42,6 @@
 namespace mafic::core {
 namespace {
 
-constexpr std::uint64_t kSeed = 20260809;
-
 sim::FlowLabel label_for(std::uint32_t i, bool cold = false) {
   return {util::make_addr(172, 16, (i >> 8) & 0xff, i & 0xff),
           cold ? util::make_addr(172, 18, 0, 1)
@@ -282,7 +280,6 @@ FleetRunResult run_fleet_scripted(
   cfg.default_rtt = 0.04;
   cfg.drop_probability = 0.9;
   cfg.probe_enabled = false;  // no wired topology in this fixture
-  cfg.coin_mode = CoinMode::kPacketHash;
   cfg.coin_seed = 0xfeedULL;
   cfg.sft_capacity = 8;  // small => capacity evictions mid-burst
 
@@ -290,8 +287,7 @@ FleetRunResult run_fleet_scripted(
     sim::Node* atr = net.add_router(
         util::make_addr(10, 0, std::uint8_t(f + 1), 1));
     filters.push_back(std::make_unique<ShardedMaficFilter>(
-        &sim, &factory, atr, num_shards, cfg, nullptr, kSeed + f,
-        pool.get()));
+        &sim, &factory, atr, num_shards, cfg, nullptr, pool.get()));
     ShardedMaficFilter* filter = filters.back().get();
     if (fleet && threads > 0) filter->set_fleet(sched.get());
     filter->set_target(&sinks[f]);

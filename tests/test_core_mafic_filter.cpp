@@ -1,4 +1,10 @@
-#include "core/mafic_filter.hpp"
+// The MAFIC sim adapter at the paper's placement: a one-shard
+// ShardedMaficFilter at the head of each ingress uplink (before the link
+// queue), driven by real transports. Covers screening, both decision
+// outcomes, probing, activation/keep-alive, the callbacks, the Pd rate,
+// and the burst path's equivalence with per-packet recv().
+
+#include "core/sharded_mafic_filter.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,8 +19,13 @@
 namespace mafic::core {
 namespace {
 
+sim::FlowLabel label_for(std::uint32_t i) {
+  return {util::make_addr(172, 16, (i >> 8) & 0xff, i & 0xff),
+          util::make_addr(172, 17, 0, 1), std::uint16_t(1024 + i), 80};
+}
+
 /// Fixture: two source hosts behind an ATR router, a victim behind a second
-/// router. A MaficFilter guards each source's uplink.
+/// router. A head-mounted one-shard filter guards each source's uplink.
 class MaficFilterTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -46,16 +57,22 @@ class MaficFilterTest : public ::testing::Test {
 
     cfg.default_rtt = 0.1;  // 0.2 s probation windows: roomy for tests
     cfg.drop_probability = 0.9;
+    cfg.coin_seed = 5;
 
     auto make_filter = [&](sim::SimplexLink* uplink) {
-      auto f = std::make_unique<MaficFilter>(&sim, &factory, atr, cfg,
-                                             policy.get(), util::Rng(5));
-      MaficFilter* raw = f.get();
+      auto f = head_filter();
+      ShardedMaficFilter* raw = f.get();
       uplink->add_head_filter(std::move(f));
       return raw;
     };
     filter_a = make_filter(a_up_fwd);
     filter_b = make_filter(b_up_fwd);
+  }
+
+  /// The head mount's adapter: one engine shard, built from `cfg`.
+  std::unique_ptr<ShardedMaficFilter> head_filter() {
+    return std::make_unique<ShardedMaficFilter>(&sim, &factory, atr, 1, cfg,
+                                                policy.get());
   }
 
   void activate_all() {
@@ -71,8 +88,8 @@ class MaficFilterTest : public ::testing::Test {
   util::AddressValidator validator;
   std::unique_ptr<AddressPolicy> policy;
   MaficConfig cfg;
-  MaficFilter* filter_a{};
-  MaficFilter* filter_b{};
+  ShardedMaficFilter* filter_a{};
+  ShardedMaficFilter* filter_b{};
 };
 
 TEST_F(MaficFilterTest, InactiveFiltersForwardEverything) {
@@ -114,8 +131,8 @@ TEST_F(MaficFilterTest, IllegalSourceGoesStraightToPdt) {
   sim.run();
   EXPECT_EQ(filter_a->stats().screened_sources, 1u);
   EXPECT_EQ(filter_a->stats().dropped_pdt, 1u);
-  EXPECT_EQ(filter_a->tables().pdt_size(), 1u);
-  EXPECT_EQ(filter_a->tables().stats().direct_pdt, 1u);
+  EXPECT_EQ(filter_a->engine(0).tables().pdt_size(), 1u);
+  EXPECT_EQ(filter_a->engine(0).tables().stats().direct_pdt, 1u);
 }
 
 TEST_F(MaficFilterTest, UnreachableSourceGoesStraightToPdt) {
@@ -133,9 +150,8 @@ TEST_F(MaficFilterTest, UnreachableSourceGoesStraightToPdt) {
 
 TEST_F(MaficFilterTest, ScreeningCanBeDisabled) {
   cfg.address_screening = false;
-  auto f = std::make_unique<MaficFilter>(&sim, &factory, atr, cfg,
-                                         policy.get(), util::Rng(5));
-  MaficFilter* raw = f.get();
+  auto f = head_filter();
+  ShardedMaficFilter* raw = f.get();
   raw->activate({victim->addr()});
   auto p = factory.make();
   p->label = sim::FlowLabel{util::make_addr(203, 0, 113, 5), victim->addr(),
@@ -160,7 +176,8 @@ TEST_F(MaficFilterTest, UnresponsiveFlowEndsInPdt) {
   activate_all();
   sim.run_until(1.5);
 
-  EXPECT_TRUE(filter_a->tables().in_pdt(sim::hash_label(zombie.wire_label())));
+  EXPECT_TRUE(filter_a->engine(0).tables().in_pdt(
+      sim::hash_label(zombie.wire_label())));
   EXPECT_EQ(filter_a->stats().decided_malicious, 1u);
   EXPECT_EQ(filter_a->stats().decided_nice, 0u);
   // After classification (+0.2 s) every packet is dropped: at most the
@@ -181,7 +198,7 @@ TEST_F(MaficFilterTest, ResponsiveTcpFlowEndsInNftAndRecovers) {
   sim.run_until(2.0);
 
   const auto key = sim::hash_label(sender.label());
-  EXPECT_TRUE(filter_a->tables().in_nft(key));
+  EXPECT_TRUE(filter_a->engine(0).tables().in_nft(key));
   EXPECT_EQ(filter_a->stats().decided_malicious, 0u);
 
   // NFT flows are never dropped again: goodput resumes.
@@ -218,14 +235,13 @@ TEST_F(MaficFilterTest, ThinFlowGetsBenefitOfDoubt) {
   activate_all();
   sim.run_until(3.0);
   const auto key = sim::hash_label(trickle.label());
-  EXPECT_TRUE(filter_a->tables().in_nft(key));
+  EXPECT_TRUE(filter_a->engine(0).tables().in_nft(key));
 }
 
 TEST_F(MaficFilterTest, DropAllInSftModeDropsDeterministically) {
   cfg.drop_all_in_sft = true;
-  auto f = std::make_unique<MaficFilter>(&sim, &factory, atr, cfg,
-                                         policy.get(), util::Rng(5));
-  MaficFilter* raw = f.get();
+  auto f = head_filter();
+  ShardedMaficFilter* raw = f.get();
   net->find_link(src_b->id(), atr->id())->add_head_filter(std::move(f));
   raw->activate({victim->addr()});
 
@@ -251,12 +267,12 @@ TEST_F(MaficFilterTest, DeactivateFlushesAndForwards) {
   zombie.connect(victim->addr(), 80);
   zombie.start();
   sim.run_until(1.0);
-  EXPECT_GT(filter_a->tables().pdt_size(), 0u);
+  EXPECT_GT(filter_a->engine(0).tables().pdt_size(), 0u);
 
   filter_a->deactivate();
   EXPECT_FALSE(filter_a->active());
-  EXPECT_EQ(filter_a->tables().pdt_size(), 0u);
-  EXPECT_EQ(filter_a->tables().sft_size(), 0u);
+  EXPECT_EQ(filter_a->engine(0).tables().pdt_size(), 0u);
+  EXPECT_EQ(filter_a->engine(0).tables().sft_size(), 0u);
 
   transport::UdpSink sink(&sim, &factory, victim, 80);
   const auto dropped = filter_a->stats().dropped_pdt;
@@ -267,9 +283,8 @@ TEST_F(MaficFilterTest, DeactivateFlushesAndForwards) {
 
 TEST_F(MaficFilterTest, RefreshTimeoutSelfDeactivates) {
   cfg.refresh_timeout = 0.5;
-  auto f = std::make_unique<MaficFilter>(&sim, &factory, atr, cfg,
-                                         policy.get(), util::Rng(5));
-  MaficFilter* raw = f.get();
+  auto f = head_filter();
+  ShardedMaficFilter* raw = f.get();
   net->find_link(src_b->id(), atr->id())->add_head_filter(std::move(f));
   raw->activate({victim->addr()});
   EXPECT_TRUE(raw->active());
@@ -279,9 +294,8 @@ TEST_F(MaficFilterTest, RefreshTimeoutSelfDeactivates) {
 
 TEST_F(MaficFilterTest, RefreshExtendsActivation) {
   cfg.refresh_timeout = 0.5;
-  auto f = std::make_unique<MaficFilter>(&sim, &factory, atr, cfg,
-                                         policy.get(), util::Rng(5));
-  MaficFilter* raw = f.get();
+  auto f = head_filter();
+  ShardedMaficFilter* raw = f.get();
   net->find_link(src_b->id(), atr->id())->add_head_filter(std::move(f));
   raw->activate({victim->addr()});
   for (int i = 1; i <= 4; ++i) {
@@ -332,9 +346,8 @@ TEST_F(MaficFilterTest, ProbationDropRateTracksPd) {
   // window should match Pd statistically.
   cfg.probe_enabled = false;
   cfg.default_rtt = 0.1;  // window 0.2 s
-  auto f = std::make_unique<MaficFilter>(&sim, &factory, atr, cfg,
-                                         policy.get(), util::Rng(5));
-  MaficFilter* raw = f.get();
+  auto f = head_filter();
+  ShardedMaficFilter* raw = f.get();
   net->find_link(src_b->id(), atr->id())->add_head_filter(std::move(f));
   raw->activate({victim->addr()});
 
@@ -349,6 +362,59 @@ TEST_F(MaficFilterTest, ProbationDropRateTracksPd) {
   const double dropped = double(raw->stats().dropped_probation);
   ASSERT_GT(offered, 500.0);
   EXPECT_NEAR(dropped / offered, 0.9, 0.05);
+}
+
+/// The one-shard adapter's burst path (spans arrive where it is mounted
+/// as a tail tap) must be verdict-identical to per-packet recv(), the
+/// head mount's delivery — the claim its inspect_burst override makes.
+TEST(MaficFilterBurst, BatchedVerdictsMatchPerPacketRecv) {
+  MaficConfig cfg;
+  cfg.default_rtt = 0.04;
+  cfg.drop_probability = 0.9;
+  cfg.probe_enabled = false;
+  cfg.coin_seed = 0xabcdULL;  // coins follow (key, uid)
+
+  class UidSink final : public sim::Connector {
+   public:
+    void recv(sim::PacketPtr p) override { uids.push_back(p->uid); }
+    std::vector<std::uint64_t> uids;
+  };
+
+  const auto run = [&](bool bursty) {
+    sim::Simulator sim;
+    sim::Network net(&sim);
+    sim::Node* atr = net.add_router(util::make_addr(10, 0, 0, 1));
+    sim::PacketFactory factory;
+    ShardedMaficFilter filter(&sim, &factory, atr, 1, cfg, nullptr);
+    UidSink sink;
+    filter.set_target(&sink);
+    filter.activate({util::make_addr(172, 17, 0, 1)});
+
+    std::vector<sim::PacketPtr> span;
+    for (std::uint32_t i = 0; i < 300; ++i) {
+      auto p = factory.make();
+      p->label = label_for(i % 24);
+      p->proto = sim::Protocol::kTcp;
+      p->size_bytes = 1000;
+      if (!bursty) {
+        filter.recv(std::move(p));
+        continue;
+      }
+      span.push_back(std::move(p));
+      if (span.size() == 7) {
+        filter.recv_burst(span.data(), span.size());
+        span.clear();
+      }
+    }
+    if (!span.empty()) filter.recv_burst(span.data(), span.size());
+    return std::pair{sink.uids, filter.stats().dropped_probation};
+  };
+
+  const auto per_packet = run(false);
+  const auto batched = run(true);
+  EXPECT_EQ(per_packet.first, batched.first);  // same survivors, in order
+  EXPECT_EQ(per_packet.second, batched.second);
+  EXPECT_GT(per_packet.second, 0u);
 }
 
 }  // namespace

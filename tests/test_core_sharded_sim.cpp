@@ -1,8 +1,8 @@
 // ShardedMaficFilter: the sharded datapath inside the discrete-event
-// simulator. Pins (1) the scripted scalar-vs-sharded equivalence — with
-// CoinMode::kPacketHash, a ShardedMaficFilter makes identical per-flow
-// classification decisions for 1 and N shards, because all cross-flow
-// coupling (tables, timers, RTT estimates, coin streams) is gone; and
+// simulator. Pins (1) the scripted scalar-vs-sharded equivalence — a
+// ShardedMaficFilter makes identical per-flow classification decisions
+// for 1 and N shards, because all cross-flow coupling (tables, timers,
+// RTT estimates, coins) is gone; and
 // (2) the end-to-end golden equivalence: two full Experiments differing
 // only in num_shards (1 vs 4), with burst links, produce identical
 // classification decisions, probe counts and metrics at a fixed seed.
@@ -21,8 +21,6 @@
 
 namespace mafic::core {
 namespace {
-
-constexpr std::uint64_t kSeed = 20260729;
 
 sim::FlowLabel label_for(std::uint32_t i) {
   return {util::make_addr(172, 16, (i >> 8) & 0xff, i & 0xff),
@@ -56,11 +54,9 @@ ScriptedRun run_scripted(std::size_t num_shards) {
   cfg.default_rtt = 0.04;  // 0.08 s probation windows
   cfg.drop_probability = 0.9;
   cfg.probe_enabled = false;  // no wired topology in this fixture
-  cfg.coin_mode = CoinMode::kPacketHash;
   cfg.coin_seed = 0xfeedULL;
 
-  ShardedMaficFilter filter(&sim, &factory, atr, num_shards, cfg, nullptr,
-                            kSeed);
+  ShardedMaficFilter filter(&sim, &factory, atr, num_shards, cfg, nullptr);
   class Sink final : public sim::Connector {
    public:
     void recv(sim::PacketPtr) override {}
@@ -131,7 +127,7 @@ TEST(ShardedMaficFilter, ShardPartitionIsRespected) {
   MaficConfig cfg;
   cfg.drop_probability = 1.0;  // admit every flow on first sight
   cfg.probe_enabled = false;
-  ShardedMaficFilter filter(&sim, &factory, atr, 4, cfg, nullptr, kSeed);
+  ShardedMaficFilter filter(&sim, &factory, atr, 4, cfg, nullptr);
   class Sink final : public sim::Connector {
    public:
     void recv(sim::PacketPtr) override {}
@@ -204,60 +200,6 @@ TEST(ShardedExperiment, GoldenEquivalenceScalarVsShardedWithBursts) {
   EXPECT_EQ(one.metrics.legit_dropped, four.metrics.legit_dropped);
   EXPECT_EQ(one.metrics.alpha, four.metrics.alpha);
   EXPECT_FALSE(std::isnan(one.metrics.alpha));
-}
-
-/// The scalar adapter's burst path (MaficFilter installed where spans
-/// arrive, e.g. as a tail tap) must be verdict-identical to per-packet
-/// recv() — the claim its inspect_burst override makes.
-TEST(MaficFilterBurst, BatchedVerdictsMatchPerPacketRecv) {
-  MaficConfig cfg;
-  cfg.default_rtt = 0.04;
-  cfg.drop_probability = 0.9;
-  cfg.probe_enabled = false;
-  cfg.coin_mode = CoinMode::kPacketHash;  // coins follow (key, uid)
-  cfg.coin_seed = 0xabcdULL;
-
-  class UidSink final : public sim::Connector {
-   public:
-    void recv(sim::PacketPtr p) override { uids.push_back(p->uid); }
-    std::vector<std::uint64_t> uids;
-  };
-
-  const auto run = [&](bool bursty) {
-    sim::Simulator sim;
-    sim::Network net(&sim);
-    sim::Node* atr = net.add_router(util::make_addr(10, 0, 0, 1));
-    sim::PacketFactory factory;
-    MaficFilter filter(&sim, &factory, atr, cfg, nullptr, util::Rng(5));
-    UidSink sink;
-    filter.set_target(&sink);
-    filter.activate({util::make_addr(172, 17, 0, 1)});
-
-    std::vector<sim::PacketPtr> span;
-    for (std::uint32_t i = 0; i < 300; ++i) {
-      auto p = factory.make();
-      p->label = label_for(i % 24);
-      p->proto = sim::Protocol::kTcp;
-      p->size_bytes = 1000;
-      if (!bursty) {
-        filter.recv(std::move(p));
-        continue;
-      }
-      span.push_back(std::move(p));
-      if (span.size() == 7) {
-        filter.recv_burst(span.data(), span.size());
-        span.clear();
-      }
-    }
-    if (!span.empty()) filter.recv_burst(span.data(), span.size());
-    return std::pair{sink.uids, filter.stats().dropped_probation};
-  };
-
-  const auto per_packet = run(false);
-  const auto batched = run(true);
-  EXPECT_EQ(per_packet.first, batched.first);  // same survivors, in order
-  EXPECT_EQ(per_packet.second, batched.second);
-  EXPECT_GT(per_packet.second, 0u);
 }
 
 /// Bursts actually reach the batched path (the sim would silently fall

@@ -10,8 +10,8 @@
 //      literal replay, stale-handle rejection across slot reuse, fire-
 //      path slot reclamation, and the empty-burst case.
 //   3. A randomized property sweep — burst sizes 1–64, shard counts
-//      1/2/4/8, worker counts 0/1/2/4, multiple seeds and both coin
-//      modes: the threaded runs must be bit-identical to shard_threads=0
+//      1/2/4/8, worker counts 0/1/2/4 and multiple seeds: the threaded
+//      runs must be bit-identical to shard_threads=0
 //      (survivor uid stream, classification order, drop/admission/
 //      eviction counters).
 //   4. Journal-merge degenerate cases — bursts landing entirely on one
@@ -40,8 +40,6 @@
 
 namespace mafic::core {
 namespace {
-
-constexpr std::uint64_t kSeed = 20260729;
 
 sim::FlowLabel label_for(std::uint32_t i, bool cold = false) {
   return {util::make_addr(172, 16, (i >> 8) & 0xff, i & 0xff),
@@ -257,7 +255,7 @@ struct RunResult {
 
 RunResult run_scripted(const std::vector<SpanSpec>& timeline,
                        std::size_t num_shards, std::size_t threads,
-                       CoinMode coin_mode, std::size_t sft_capacity) {
+                       std::size_t sft_capacity) {
   sim::Simulator sim;
   sim::Network net(&sim);
   sim::Node* atr = net.add_router(util::make_addr(10, 0, 0, 1));
@@ -267,7 +265,6 @@ RunResult run_scripted(const std::vector<SpanSpec>& timeline,
   cfg.default_rtt = 0.04;  // 0.08 s probation windows
   cfg.drop_probability = 0.9;
   cfg.probe_enabled = false;  // no wired topology in this fixture
-  cfg.coin_mode = coin_mode;
   cfg.coin_seed = 0xfeedULL;
   cfg.sft_capacity = sft_capacity;  // small => capacity evictions fire
                                     // journaled timer cancels mid-burst
@@ -275,7 +272,7 @@ RunResult run_scripted(const std::vector<SpanSpec>& timeline,
   std::unique_ptr<ShardWorkerPool> pool;
   if (threads > 0) pool = std::make_unique<ShardWorkerPool>(threads);
   ShardedMaficFilter filter(&sim, &factory, atr, num_shards, cfg, nullptr,
-                            kSeed, pool.get());
+                            pool.get());
   class UidSink final : public sim::Connector {
    public:
     void recv(sim::PacketPtr p) override { uids.push_back(p->uid); }
@@ -322,15 +319,13 @@ TEST_P(ThreadedSweep, BitIdenticalToSerialAcrossShardAndWorkerCounts) {
       make_timeline(GetParam(), /*max_span=*/64);
   for (const std::size_t shards : {1u, 2u, 4u, 8u}) {
     const RunResult serial = run_scripted(timeline, shards, /*threads=*/0,
-                                          CoinMode::kPacketHash,
                                           /*sft_capacity=*/8);
     ASSERT_GT(serial.stats.offered, 0u);
     ASSERT_GT(serial.tables.sft_admissions, 0u);
     EXPECT_GT(serial.tables.sft_evictions, 0u)
         << "fixture no longer exercises journaled eviction cancels";
     for (const std::size_t threads : {1u, 2u, 4u}) {
-      const RunResult threaded = run_scripted(
-          timeline, shards, threads, CoinMode::kPacketHash, 8);
+      const RunResult threaded = run_scripted(timeline, shards, threads, 8);
       EXPECT_GT(threaded.threaded_bursts, 0u);
       EXPECT_TRUE(threaded == serial)
           << "shards=" << shards << " threads=" << threads
@@ -342,21 +337,6 @@ TEST_P(ThreadedSweep, BitIdenticalToSerialAcrossShardAndWorkerCounts) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ThreadedSweep,
                          ::testing::Values(1, 17, 20260729));
 
-TEST(ThreadedSweep, EngineStreamCoinsAlsoBitIdentical) {
-  // Per-shard RNG streams draw in within-shard arrival order, which the
-  // sub-span fan-out preserves — so threaded-vs-serial identity holds
-  // even for the paper-faithful kEngineStream coins (scalar-vs-sharded
-  // needs kPacketHash; threaded-vs-serial does not).
-  const std::vector<SpanSpec> timeline = make_timeline(99, 32);
-  for (const std::size_t shards : {2u, 4u}) {
-    const RunResult serial = run_scripted(timeline, shards, 0,
-                                          CoinMode::kEngineStream, 64);
-    const RunResult threaded = run_scripted(timeline, shards, 4,
-                                            CoinMode::kEngineStream, 64);
-    EXPECT_TRUE(threaded == serial) << "shards=" << shards;
-  }
-}
-
 TEST(JournalMerge, BurstLandingEntirelyOnOneShardLeavesOthersEmpty) {
   // Pick flows that all live on shard 0 of a 4-shard filter: every other
   // worker sees an empty sub-span, and the merge must still replay shard
@@ -367,7 +347,7 @@ TEST(JournalMerge, BurstLandingEntirelyOnOneShardLeavesOthersEmpty) {
   sim::PacketFactory probe_factory;
   MaficConfig probe_cfg;
   ShardedMaficFilter probe_filter(&probe_sim, &probe_factory, probe_atr, 4,
-                                  probe_cfg, nullptr, kSeed);
+                                  probe_cfg, nullptr);
   std::vector<std::uint32_t> same_shard;
   for (std::uint32_t f = 0; same_shard.size() < 24 && f < 4096; ++f) {
     sim::Packet p;
@@ -390,9 +370,9 @@ TEST(JournalMerge, BurstLandingEntirelyOnOneShardLeavesOthersEmpty) {
     t += 0.01;
   }
   const RunResult serial =
-      run_scripted(timeline, 4, 0, CoinMode::kPacketHash, 16);
+      run_scripted(timeline, 4, 0, 16);
   const RunResult threaded =
-      run_scripted(timeline, 4, 4, CoinMode::kPacketHash, 16);
+      run_scripted(timeline, 4, 4, 16);
   ASSERT_GT(serial.stats.offered, 0u);
   EXPECT_TRUE(threaded == serial);
 }
@@ -416,9 +396,9 @@ TEST(JournalMerge, DegenerateSpansSingleShardAndColdBursts) {
 
   for (const std::size_t shards : {1u, 4u}) {
     const RunResult serial =
-        run_scripted(timeline, shards, 0, CoinMode::kPacketHash, 64);
+        run_scripted(timeline, shards, 0, 64);
     const RunResult threaded =
-        run_scripted(timeline, shards, 4, CoinMode::kPacketHash, 64);
+        run_scripted(timeline, shards, 4, 64);
     ASSERT_GT(serial.stats.offered, 0u);
     EXPECT_TRUE(threaded == serial) << "shards=" << shards;
   }

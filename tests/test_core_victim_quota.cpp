@@ -25,7 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/mafic_filter.hpp"
+#include "core/sharded_mafic_filter.hpp"
 #include "core/standalone_runtime.hpp"
 #include "scenario/experiment.hpp"
 #include "sim/packet.hpp"
@@ -376,7 +376,7 @@ TEST(VictimQuota, EngineWeightsAreConsumedAtActivation) {
   cfg.sft_capacity = 32;
   cfg.sft_victim_quota = 0.25;  // pool = 16 over two victims
   {
-    EngineRuntime rt(cfg, nullptr, util::Rng(7));
+    EngineRuntime rt(cfg, nullptr);
     FilterEngine& eng = rt.engine();
     eng.set_victim_weights({{kVictimB, 1.0}, {kVictimA, 3.0}});
     eng.activate({kVictimA, kVictimB});
@@ -385,7 +385,7 @@ TEST(VictimQuota, EngineWeightsAreConsumedAtActivation) {
   }
   {
     // Only A staged: B weighs 1.0 by default, same 3:1 split.
-    EngineRuntime rt(cfg, nullptr, util::Rng(7));
+    EngineRuntime rt(cfg, nullptr);
     FilterEngine& eng = rt.engine();
     eng.set_victim_weights({{kVictimA, 3.0}});
     eng.activate({kVictimA, kVictimB});
@@ -394,7 +394,7 @@ TEST(VictimQuota, EngineWeightsAreConsumedAtActivation) {
   }
   {
     // No weights staged: the unweighted equal split, unchanged.
-    EngineRuntime rt(cfg, nullptr, util::Rng(7));
+    EngineRuntime rt(cfg, nullptr);
     FilterEngine& eng = rt.engine();
     eng.activate({kVictimA, kVictimB});
     EXPECT_EQ(eng.tables().quota_slots_of(kVictimA), 8u);
@@ -419,7 +419,7 @@ FloodOutcome run_flood(double quota) {
   cfg.sft_victim_quota = quota;
   cfg.drop_probability = 1.0;  // every fresh flow admits on first sight
   cfg.probe_enabled = false;
-  EngineRuntime rt(cfg, nullptr, util::Rng(7));
+  EngineRuntime rt(cfg, nullptr);
   FilterEngine& eng = rt.engine();
   eng.activate({kVictimA, kVictimB});
 
@@ -546,11 +546,12 @@ TEST(VictimQuotaExperiment, ProvisionedWeightsFlowToEveryEngine) {
   // pool = 2 x min(4, 16/2) = 8 slots; 3:1 split = 6 and 2 (the equal
   // split would be 4 and 4).
   std::size_t activated = 0;
-  for (const core::MaficFilter* f : exp.mafic_filters()) {
-    if (f->tables().victim_classes() < 2) continue;  // never activated
+  for (const core::ShardedMaficFilter* f : exp.sharded_filters()) {
+    // never activated
+    if (f->engine(0).tables().victim_classes() < 2) continue;
     ++activated;
-    EXPECT_EQ(f->tables().quota_slots_of(primary), 6u);
-    EXPECT_EQ(f->tables().quota_slots_of(extra), 2u);
+    EXPECT_EQ(f->engine(0).tables().quota_slots_of(primary), 6u);
+    EXPECT_EQ(f->engine(0).tables().quota_slots_of(extra), 2u);
   }
   EXPECT_GT(activated, 0u);
 }

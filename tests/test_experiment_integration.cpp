@@ -208,7 +208,7 @@ TEST(ExperimentIntegration, ScriptedAtrDiagnosticsCoverEveryDefenseKind) {
       if (kind == DefenseKind::kMafic) {
         // Unchanged for MAFIC: exactly the routers with an active filter.
         std::vector<sim::NodeId> active;
-        for (const auto* f : exp.mafic_filters()) {
+        for (const auto* f : exp.sharded_filters()) {
           if (f->active()) active.push_back(f->atr_node_id());
         }
         std::sort(active.begin(), active.end());
@@ -229,7 +229,7 @@ TEST(ExperimentIntegration, ScriptedAtrDiagnosticsCoverEveryDefenseKind) {
 TEST(ExperimentIntegration, FilterConservation) {
   Experiment exp(small_config());
   exp.run();
-  for (const auto* f : exp.mafic_filters()) {
+  for (const auto* f : exp.sharded_filters()) {
     const auto& s = f->stats();
     EXPECT_EQ(s.offered,
               s.forwarded + s.dropped_probation + s.dropped_pdt)
@@ -246,8 +246,9 @@ TEST(ExperimentIntegration, TablesPartitionFlows) {
                                   [&] {
                                     std::size_t pending = 0;
                                     for (const auto* f :
-                                         exp.mafic_filters()) {
-                                      pending += f->tables().sft_size();
+                                         exp.sharded_filters()) {
+                                      pending +=
+                                          f->engine(0).tables().sft_size();
                                     }
                                     return pending;
                                   }());

@@ -142,8 +142,8 @@ TEST(FailureInjection, DefenseSurvivesAttackStoppingEarly) {
   ASSERT_TRUE(r.metrics.triggered);
   EXPECT_GT(r.metrics.alpha, 0.9);
   // No probation should be stuck forever.
-  for (const auto* f : exp.mafic_filters()) {
-    f->tables().for_each_sft([&](const core::SftEntry& e) {
+  for (const auto* f : exp.sharded_filters()) {
+    f->engine(0).tables().for_each_sft([&](const core::SftEntry& e) {
       EXPECT_GT(e.deadline, 3.0);
     });
   }

@@ -145,10 +145,12 @@ TEST(VictimDetector, ClearsWhenAttackSubsidesBelowTriggerFloor) {
 TEST(VictimDetector, ConfiguredEwmaAlphaChangesDetection) {
   // Regression for the dead RouterState{0.3} member default: a
   // non-default ewma_alpha must actually change when the detector fires.
-  // Baseline ramps 100, 200, ..., then a 900-packet epoch arrives. With
-  // alpha=1.0 the baseline tracks the last sample (400) so 900 < 2.5*400
-  // stays quiet; with a tiny alpha the baseline barely moves off 100 and
-  // 900 > 2.5*~110 alarms.
+  // Traffic ramps 100, 140, 190, 260, 360 (each step inside the 1.5x
+  // clear band of the previous sample), then an 850-packet epoch
+  // arrives. With alpha=1.0 the baseline tracks every sample (360), so
+  // 850 < 2.5*360 stays quiet; with a tiny alpha the baseline barely
+  // moves off 100, the ramp leaves its clear band, and 360 > 2.5*~102
+  // alarms.
   const auto alarms_with_alpha = [](double alpha) {
     VictimDetector::Config cfg;
     cfg.warmup_epochs = 1;
@@ -156,14 +158,64 @@ TEST(VictimDetector, ConfiguredEwmaAlphaChangesDetection) {
     cfg.min_packets_per_epoch = 50;
     cfg.ewma_alpha = alpha;
     VictimDetector det(cfg);
-    for (int e = 1; e <= 4; ++e) {
-      det.on_epoch(make_snapshot(2, 0, 1, 100ULL * e, e * 1000000ULL));
+    const std::uint64_t ramp[] = {100, 140, 190, 260, 360};
+    for (std::uint64_t e = 0; e < 5; ++e) {
+      det.on_epoch(make_snapshot(2, 0, 1, ramp[e], (e + 1) * 1000000ULL));
     }
-    det.on_epoch(make_snapshot(2, 0, 1, 900, 99000000ULL));
+    det.on_epoch(make_snapshot(2, 0, 1, 850, 99000000ULL));
     return det.alarms_raised();
   };
   EXPECT_EQ(alarms_with_alpha(1.0), 0u);
   EXPECT_EQ(alarms_with_alpha(0.05), 1u);
+}
+
+TEST(VictimDetector, RampingFloodAboveClearBandStillAlarms) {
+  // A flood that ramps in under trigger_factor per epoch must not drag
+  // the baseline up with it. Steady 500 packets/epoch, then 800, 1000,
+  // 1100, ...: each step is below 1.8x the baseline an absorbing EWMA
+  // would hold (590, 713, 829, ...), so such a detector never alarms.
+  // Epochs above the 1.5x clear band leave the baseline at ~500, and
+  // 1000 > 1.8*500 alarms.
+  VictimDetector::Config cfg;
+  cfg.warmup_epochs = 3;
+  cfg.trigger_factor = 1.8;
+  cfg.clear_factor = 1.5;
+  cfg.min_packets_per_epoch = 30;
+  cfg.ewma_alpha = 0.3;
+  VictimDetector det(cfg);
+  std::uint64_t uid = 0;
+  const auto epoch = [&](std::uint64_t n) {
+    det.on_epoch(make_snapshot(2, 0, 1, n, uid));
+    uid += 1000000;
+  };
+  for (int e = 0; e < 5; ++e) epoch(500);
+  const double base_before = det.baseline(1);
+  epoch(800);
+  EXPECT_FALSE(det.alarming(1));
+  EXPECT_NEAR(det.baseline(1), base_before, 1e-9);  // not absorbed
+  for (const std::uint64_t n : {1000u, 1100u, 1100u, 1100u}) epoch(n);
+  EXPECT_TRUE(det.alarming(1));
+  EXPECT_EQ(det.alarms_raised(), 1u);
+  EXPECT_NEAR(det.baseline(1), base_before, 1e-9);
+}
+
+TEST(VictimDetector, WarmupStillAbsorbsRisingTraffic) {
+  // During warmup every epoch feeds the baseline, however far it jumps:
+  // traffic that rises while the baseline settles (100 -> 400) and then
+  // holds is normal, not a flood.
+  VictimDetector::Config cfg;
+  cfg.warmup_epochs = 4;
+  cfg.trigger_factor = 1.8;
+  cfg.clear_factor = 1.5;
+  cfg.min_packets_per_epoch = 30;
+  cfg.ewma_alpha = 0.5;
+  VictimDetector det(cfg);
+  std::uint64_t uid = 0;
+  for (const std::uint64_t n : {100u, 200u, 300u, 400u, 400u, 400u, 400u}) {
+    det.on_epoch(make_snapshot(2, 0, 1, n, uid));
+    uid += 1000000;
+  }
+  EXPECT_EQ(det.alarms_raised(), 0u);
 }
 
 TEST(VictimDetector, BaselineFrozenWhileAlarming) {

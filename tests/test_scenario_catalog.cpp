@@ -4,11 +4,11 @@
 // produce BIT-IDENTICAL decision statistics across the four comparable
 // datapath strategies — scalar (num_shards=1), sharded (4), threaded
 // (4 shards x 2 workers), fleet tick batching — extending the
-// CoinMode::kPacketHash equivalence contract of PR 3/5/6 from bespoke
-// wirings to the whole generated-workload catalog. The legacy head
-// filter (num_shards=0) drops BEFORE the uplink queue, so its packet
-// interleaving legitimately differs; it is sanity-checked, not
-// bit-compared.
+// scalar-vs-sharded equivalence contract (stateless Pd coins) from
+// bespoke wirings to the whole generated-workload catalog. The head
+// filter (num_shards=0, the paper's placement) drops BEFORE the uplink
+// queue, so its packet interleaving legitimately differs; it is pinned
+// by its own goldens, not bit-compared.
 //
 // FNV golden fingerprints pin each scenario's integer decision counts
 // and per-victim stats at the catalog seed, so a change that shifts any
@@ -173,9 +173,19 @@ TEST(ScenarioCatalog, EveryEntryDefendsAndReportsPerVictim) {
 }
 
 TEST(ScenarioCatalog, HeadFilterStrategyRunsEveryEntry) {
-  // The legacy pre-queue scalar filter: not bit-comparable (it drops
-  // before the uplink queue, changing the arrival interleaving), but it
-  // must keep running every generated workload.
+  // The paper's pre-queue placement (a one-shard ShardedMaficFilter at
+  // the uplink head): not bit-comparable with the tail strategies (it
+  // drops before the uplink queue, changing the arrival interleaving),
+  // so it carries its own goldens at the catalog seeds, smoke scale
+  // (the fingerprint run_scenario() computes under head_strategy()).
+  const std::map<std::string, std::uint64_t> golden = {
+      {"pulse_shrew", 0x417e611ee910d8d8ULL},
+      {"flash_crowd", 0x39adf33f49da441bULL},
+      {"udp_flood", 0xe6233e3d8b9d734fULL},
+      {"carpet_bomb", 0x457461b9ecbb4973ULL},
+      {"spoof_churn", 0xcbf5b59315a9a06aULL},
+      {"mixed_background", 0xdef39a953144d161ULL},
+  };
   for (const auto& e : catalog()) {
     const ScenarioSpec spec = smoke_scale(e.spec);
     SCOPED_TRACE(spec.name);
@@ -183,6 +193,10 @@ TEST(ScenarioCatalog, HeadFilterStrategyRunsEveryEntry) {
     EXPECT_TRUE(out.result.metrics.triggered);
     EXPECT_GT(out.result.sft_admissions, 0u);
     EXPECT_EQ(out.phases_fired, out.timeline.size());
+    const auto it = golden.find(spec.name);
+    ASSERT_NE(it, golden.end()) << "no head golden for " << spec.name;
+    EXPECT_EQ(out.fingerprint, it->second)
+        << spec.name << ": head fingerprint drifted — decisions changed";
   }
 }
 

@@ -165,7 +165,7 @@ TEST_P(ShardSpanFuzz, PartitionMergeReconstructsArrivalOrder) {
   cfg.probe_enabled = false;
   core::ShardWorkerPool pool(threads);
   core::ShardedMaficFilter filter(&sim, &factory, atr, shards, cfg,
-                                  nullptr, /*seed=*/GetParam(), &pool);
+                                  nullptr, &pool);
   class UidSink final : public Connector {
    public:
     void recv(PacketPtr p) override { uids.push_back(p->uid); }
@@ -223,13 +223,12 @@ TEST_P(ShardSpanFuzz, DropsPartitionTheStreamWithoutLossOrDuplication) {
 
   core::MaficConfig cfg;
   cfg.drop_probability = 0.9;
-  cfg.coin_mode = core::CoinMode::kPacketHash;
   cfg.coin_seed = GetParam();
   cfg.probe_enabled = false;
   cfg.sft_capacity = 8;  // force mid-burst capacity evictions too
   core::ShardWorkerPool pool(4);
   core::ShardedMaficFilter filter(&sim, &factory, atr, shards, cfg,
-                                  nullptr, /*seed=*/GetParam(), &pool);
+                                  nullptr, &pool);
   class UidSink final : public Connector {
    public:
     void recv(PacketPtr p) override { uids.push_back(p->uid); }

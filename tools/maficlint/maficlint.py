@@ -22,7 +22,9 @@ rests on (see docs/INVARIANTS.md for the catalogue):
                construct std::function, or throw.
   seams        worker-side code (the journaled sub-span path) may not
                name the Simulator, the shared Prober, or the metrics
-               ledger.
+               ledger; named sub-groups add their own bans (control-plane
+               files may not name datapath engines; the Pd-coin files
+               may not name a stateful RNG).
 
 Escape hatch: `// maficlint: allow(<rule>) <reason>` on the offending
 line (or the line directly above) suppresses that line for that rule.
@@ -175,6 +177,21 @@ def line_of_offset(text, offset):
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.M)
 
 
+def live_includes(sf):
+    """(line, target) for every quoted #include of `sf`. Include paths are
+    string literals, which the comment-stripped view blanks — match the
+    raw text, but only where the stripped view still shows a preprocessor
+    line (skips commented-out includes)."""
+    for m in INCLUDE_RE.finditer(sf.text):
+        # The target's offset, not the match's: `^\s*` may start the match
+        # on a blank line above the directive.
+        line = line_of_offset(sf.text, m.start(1))
+        if line <= len(sf.code_lines) and \
+                not sf.code_lines[line - 1].lstrip().startswith("#"):
+            continue
+        yield line, m.group(1)
+
+
 def check_layering(files, manifest):
     cfg = manifest.get("layering", {})
     allowed_edges = cfg.get("allowed", {})
@@ -187,17 +204,8 @@ def check_layering(files, manifest):
             continue
         layer = parts[1]
         inner = "/".join(parts[1:])  # e.g. core/flow_tables.hpp
-        # Include paths are string literals, which the comment-stripped
-        # view blanks — match the raw text, but only where the stripped
-        # view still shows a preprocessor line (skips commented-out
-        # includes).
-        for m in INCLUDE_RE.finditer(sf.text):
-            target = m.group(1)
+        for line, target in live_includes(sf):
             tgt_layer = target.split("/")[0]
-            line = line_of_offset(sf.text, m.start())
-            if line <= len(sf.code_lines) and \
-                    not sf.code_lines[line - 1].lstrip().startswith("#"):
-                continue
             a = allowed(sf.allows, "layering", line)
             if a:
                 continue
@@ -483,7 +491,8 @@ def check_seams(files, manifest):
     plus any number of NAMED sub-groups ([seams.<name>] with files= and
     [[seams.<name>.banned]]) so each side of a seam can declare its own
     vocabulary ban list (e.g. control-plane files may not name the
-    datapath engines)."""
+    datapath engines). A ban matches the code and the quoted path of each
+    live #include, so a banned header cannot slip in as a string."""
     cfg = manifest.get("seams", {})
     groups = []
     if cfg.get("worker_files"):
@@ -504,13 +513,16 @@ def check_seams(files, manifest):
                     f"(manifest drift — update invariants.toml [seams])"))
                 continue
             for ban in banned:
-                for m in re.finditer(ban["pattern"], sf.code):
-                    line = line_of_offset(sf.code, m.start())
+                hits = [(line_of_offset(sf.code, m.start()), m.group(0))
+                        for m in re.finditer(ban["pattern"], sf.code)]
+                hits += [(line, target) for line, target in live_includes(sf)
+                         if re.search(ban["pattern"], target)]
+                for line, what in hits:
                     if allowed(sf.allows, "seams", line):
                         continue
                     findings.append(Finding(
                         rel, line, "seams",
-                        f"{label} file names '{m.group(0).strip()}': "
+                        f"{label} file names '{what.strip()}': "
                         f"{ban['why']}"))
     return findings
 
