@@ -542,18 +542,11 @@ ExperimentResult Experiment::snapshot_result() const {
   return r;
 }
 
-metrics::Metrics run_averaged(const ExperimentConfig& base, std::size_t seeds,
-                              std::vector<ExperimentResult>* out) {
+metrics::Metrics average_metrics(const std::vector<metrics::Metrics>& runs) {
   metrics::Metrics sum;
   sum.alpha = sum.beta = sum.theta_p = sum.theta_n = sum.lr = 0.0;
   std::size_t alpha_n = 0, beta_n = 0, tp_n = 0, tn_n = 0, lr_n = 0;
-
-  for (std::size_t s = 0; s < seeds; ++s) {
-    ExperimentConfig cfg = base;
-    cfg.seed = base.seed + s * 7919;
-    Experiment exp(cfg);
-    ExperimentResult r = exp.run();
-    const auto& m = r.metrics;
+  for (const auto& m : runs) {
     if (!std::isnan(m.alpha)) { sum.alpha += m.alpha; ++alpha_n; }
     if (!std::isnan(m.beta)) { sum.beta += m.beta; ++beta_n; }
     if (!std::isnan(m.theta_p)) { sum.theta_p += m.theta_p; ++tp_n; }
@@ -567,7 +560,6 @@ metrics::Metrics run_averaged(const ExperimentConfig& base, std::size_t seeds,
     sum.legit_pdt_dropped += m.legit_pdt_dropped;
     sum.total_offered += m.total_offered;
     sum.triggered = sum.triggered || m.triggered;
-    if (out != nullptr) out->push_back(std::move(r));
   }
 
   const auto nan = std::numeric_limits<double>::quiet_NaN();
@@ -577,6 +569,20 @@ metrics::Metrics run_averaged(const ExperimentConfig& base, std::size_t seeds,
   sum.theta_n = tn_n ? sum.theta_n / double(tn_n) : nan;
   sum.lr = lr_n ? sum.lr / double(lr_n) : nan;
   return sum;
+}
+
+metrics::Metrics run_averaged(const ExperimentConfig& base, std::size_t seeds,
+                              std::vector<ExperimentResult>* out) {
+  std::vector<metrics::Metrics> runs;
+  for (std::size_t s = 0; s < seeds; ++s) {
+    ExperimentConfig cfg = base;
+    cfg.seed = base.seed + s * 7919;
+    Experiment exp(cfg);
+    ExperimentResult r = exp.run();
+    runs.push_back(r.metrics);
+    if (out != nullptr) out->push_back(std::move(r));
+  }
+  return average_metrics(runs);
 }
 
 }  // namespace mafic::scenario

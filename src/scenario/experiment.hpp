@@ -411,6 +411,10 @@ class Experiment {
   bool setup_done_ = false;
 };
 
+/// Mean of each ratio metric over the runs where it is defined (NaNs are
+/// skipped), with the packet counts summed.
+metrics::Metrics average_metrics(const std::vector<metrics::Metrics>& runs);
+
 /// Averages metrics over `seeds` runs of the same configuration (only the
 /// seed differs). Used by every figure bench.
 metrics::Metrics run_averaged(const ExperimentConfig& base,

@@ -2,84 +2,110 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 namespace mafic::sim {
 
 namespace {
-/// Below this many entries the dead weight is noise; skip compaction.
+/// Below this many keys the dead weight is noise; skip compaction.
 constexpr std::size_t kCompactionFloor = 64;
 
-struct ItemGreater {
-  template <typename T>
-  bool operator()(const T& a, const T& b) const noexcept {
-    return a > b;
+struct KeyGreater {
+  template <typename K>
+  bool operator()(const K& a, const K& b) const noexcept {
+    if (a.time != b.time) return a.time > b.time;
+    return a.id > b.id;
   }
 };
 }  // namespace
 
 EventId EventQueue::push(SimTime t, EventFn fn, bool batchable) {
-  const EventId id = next_id_++;
-  heap_.push_back(Item{t, id, std::move(fn), batchable});
-  std::push_heap(heap_.begin(), heap_.end(), ItemGreater{});
-  live_.insert(id);
+  if (next_seq_ > kMaxSeq) {
+    throw std::length_error("EventQueue: event id sequence exhausted");
+  }
+  std::uint64_t slot = slots_.size();
+  if (!free_.empty()) {
+    slot = free_.back();
+    free_.pop_back();
+  } else if (slot == kMaxSlots) {
+    throw std::length_error("EventQueue: too many pending events");
+  } else {
+    slots_.emplace_back();
+  }
+  const EventId id = (next_seq_++ << kSlotBits) | slot;
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  s.id = id;
+  s.batchable = batchable;
+  heap_.push_back(Key{t, id});
+  std::push_heap(heap_.begin(), heap_.end(), KeyGreater{});
+  ++live_;
   return id;
 }
 
+void EventQueue::release(std::uint64_t slot) {
+  slots_[slot].id = kInvalidEvent;
+  free_.push_back(static_cast<std::uint32_t>(slot));
+  --live_;
+}
+
 bool EventQueue::cancel(EventId id) {
-  const bool was_live = live_.erase(id) > 0;
-  if (was_live) maybe_compact();
-  return was_live;
+  if (!is_live(id)) return false;
+  const std::uint64_t slot = id & kSlotMask;
+  slots_[slot].fn = EventFn{};
+  release(slot);
+  maybe_compact();
+  return true;
 }
 
 void EventQueue::maybe_compact() {
-  if (heap_.size() >= kCompactionFloor && heap_.size() > 2 * live_.size()) {
+  if (heap_.size() >= kCompactionFloor && heap_.size() > 2 * live_) {
     compact();
   }
 }
 
 void EventQueue::compact() {
-  std::erase_if(heap_,
-                [this](const Item& it) { return !live_.contains(it.id); });
-  std::make_heap(heap_.begin(), heap_.end(), ItemGreater{});
+  std::erase_if(heap_, [this](const Key& k) { return !is_live(k.id); });
+  std::make_heap(heap_.begin(), heap_.end(), KeyGreater{});
   heap_.shrink_to_fit();
   ++compactions_;
 }
 
 void EventQueue::drop_dead_head() {
-  while (!heap_.empty() && !live_.contains(heap_.front().id)) {
-    std::pop_heap(heap_.begin(), heap_.end(), ItemGreater{});
+  while (!heap_.empty() && !is_live(heap_.front().id)) {
+    std::pop_heap(heap_.begin(), heap_.end(), KeyGreater{});
     heap_.pop_back();
   }
 }
 
-SimTime EventQueue::next_time() {
+EventQueue::Head EventQueue::peek() {
   drop_dead_head();
   assert(!heap_.empty());
-  return heap_.front().time;
-}
-
-bool EventQueue::next_is_batchable() {
-  drop_dead_head();
-  assert(!heap_.empty());
-  return heap_.front().batchable;
+  const Key& top = heap_.front();
+  return Head{top.time, slots_[top.id & kSlotMask].batchable};
 }
 
 EventQueue::Popped EventQueue::pop() {
   drop_dead_head();
   assert(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), ItemGreater{});
-  Item& top = heap_.back();
-  Popped out{top.time, top.id, std::move(top.fn)};
-  live_.erase(top.id);
+  const Key top = heap_.front();
+  std::pop_heap(heap_.begin(), heap_.end(), KeyGreater{});
   heap_.pop_back();
+  const std::uint64_t slot = top.id & kSlotMask;
+  Popped out{top.time, top.id, std::move(slots_[slot].fn)};
+  release(slot);
   return out;
 }
 
 void EventQueue::clear() {
   heap_.clear();
   heap_.shrink_to_fit();
-  live_.clear();
+  slots_.clear();
+  slots_.shrink_to_fit();
+  free_.clear();
+  free_.shrink_to_fit();
+  live_ = 0;
 }
 
 }  // namespace mafic::sim

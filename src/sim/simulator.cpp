@@ -1,44 +1,22 @@
 #include "sim/simulator.hpp"
 
+#include <limits>
+
 namespace mafic::sim {
 
-SimTime Simulator::next_event_time() {
-  if (queue_.empty()) return wheel_.next_time();
-  if (wheel_.empty()) return queue_.next_time();
-  const SimTime tq = queue_.next_time();
-  const SimTime tw = wheel_.next_time();
-  return tq <= tw ? tq : tw;
-}
-
-void Simulator::step() {
+Simulator::Next Simulator::peek_next() {
+  Next next;
+  if (!queue_.empty()) {
+    const EventQueue::Head head = queue_.peek();
+    next = Next{head.time, true, true, head.batchable};
+  }
   // Queue events win ties so exact-time events (packet arrivals) precede
   // quantized timers that landed on the same instant.
-  const bool from_queue =
-      !queue_.empty() &&
-      (wheel_.empty() || queue_.next_time() <= wheel_.next_time());
-  if (from_queue) {
-    auto ev = queue_.pop();
-    if (ev.time > now_) now_ = ev.time;
-    ev.fn();
-  } else {
-    auto timer = wheel_.pop();
-    if (timer.time > now_) now_ = timer.time;
-    timer.fn();
+  if (!wheel_.empty()) {
+    const SimTime tw = wheel_.next_time();
+    if (!next.any || tw < next.time) next = Next{tw, true, false, false};
   }
-}
-
-void Simulator::maybe_drain() {
-  if (drain_ == nullptr || !drain_->pending()) return;
-  // Deferred work was registered at now_. It may keep accumulating only
-  // while the very next thing to run is another batchable queue event at
-  // this same instant; any other event (foreign queue event, wheel timer,
-  // clock advance) must observe the deferred effects first, exactly as
-  // the serial schedule would have applied them.
-  const bool coalesce =
-      !queue_.empty() && queue_.next_time() <= now_ &&
-      (wheel_.empty() || queue_.next_time() <= wheel_.next_time()) &&
-      queue_.next_is_batchable();
-  if (!coalesce) drain_->drain();
+  return next;
 }
 
 void Simulator::flush_drain() {
@@ -47,13 +25,31 @@ void Simulator::flush_drain() {
   while (drain_ != nullptr && drain_->pending()) drain_->drain();
 }
 
-std::size_t Simulator::run() {
+std::size_t Simulator::run_through(SimTime limit) {
   stopped_ = false;
   std::size_t n = 0;
   while (!stopped_) {
-    maybe_drain();  // may schedule new events; recheck pending after
-    if (!pending()) break;
-    step();
+    Next next = peek_next();
+    // Deferred work was registered at now_. It may keep accumulating only
+    // while the very next thing to run is another batchable queue event at
+    // this same instant; any other event (foreign queue event, wheel
+    // timer, clock advance) must observe the deferred effects first,
+    // exactly as the serial schedule would have applied them.
+    if (drain_ != nullptr && drain_->pending() &&
+        !(next.from_queue && next.batchable && next.time <= now_)) {
+      drain_->drain();
+      next = peek_next();  // the drain may have scheduled new events
+    }
+    if (!next.any || next.time > limit) break;
+    if (next.from_queue) {
+      auto ev = queue_.pop();
+      if (ev.time > now_) now_ = ev.time;
+      ev.fn();
+    } else {
+      auto timer = wheel_.pop();
+      if (timer.time > now_) now_ = timer.time;
+      timer.fn();
+    }
     ++n;
   }
   flush_drain();  // deferred work survives stop(); the clock has not moved
@@ -61,18 +57,13 @@ std::size_t Simulator::run() {
   return n;
 }
 
+std::size_t Simulator::run() {
+  return run_through(std::numeric_limits<SimTime>::infinity());
+}
+
 std::size_t Simulator::run_until(SimTime t) {
-  stopped_ = false;
-  std::size_t n = 0;
-  while (!stopped_) {
-    maybe_drain();
-    if (!pending() || next_event_time() > t) break;
-    step();
-    ++n;
-  }
-  flush_drain();
+  const std::size_t n = run_through(t);
   if (!stopped_ && now_ < t) now_ = t;
-  processed_ += n;
   return n;
 }
 

@@ -6,8 +6,9 @@
 /// global state, so independent simulations can coexist in one process.
 ///
 /// Two event sources drive the clock:
-///  * the binary-heap EventQueue — exact-time, one-shot events (packet
-///    arrivals, transmissions, experiment scripting);
+///  * the EventQueue (a heap of (time, id) keys over a callback slot
+///    arena) — exact-time, one-shot events (packet arrivals,
+///    transmissions, experiment scripting);
 ///  * the hierarchical TimerWheel — high-churn per-flow timers (probation
 ///    probes/decisions, keep-alives) with O(1) schedule/cancel/reschedule,
 ///    quantized to the wheel resolution.
@@ -125,13 +126,19 @@ class Simulator {
   const TimerWheel& timer_wheel() const noexcept { return wheel_; }
 
  private:
-  /// Time of the next event across both sources; pending() must be true.
-  SimTime next_event_time();
-  /// Pops and runs the next event; advances the clock.
-  void step();
-  /// Flushes the tick drain unless the next event is a same-time
-  /// batchable queue event (which may keep accumulating deferred work).
-  void maybe_drain();
+  /// The earliest pending event across both sources.
+  struct Next {
+    SimTime time = 0.0;
+    bool any = false;         ///< false when both sources are empty
+    bool from_queue = false;  ///< else the wheel's next timer
+    bool batchable = false;   ///< a batchable queue event
+  };
+  /// Peeks each source once; queue events win ties.
+  Next peek_next();
+  /// Shared body of run()/run_until(): runs events with time <= limit in
+  /// order, flushing the tick drain wherever the serial schedule needs its
+  /// deferred effects applied.
+  std::size_t run_through(SimTime limit);
   /// Unconditionally flushes any deferred tick work (loop boundaries).
   void flush_drain();
 

@@ -6,8 +6,8 @@
 /// The MAFIC datapath arms two timers per probation (the duplicate-ACK
 /// probe at the window midpoint and the classification decision at the
 /// deadline) and cancels them whenever a flow resolves early. On the
-/// binary-heap EventQueue that is O(log n) to schedule and leaves a
-/// lazily-cancelled corpse in the heap; at a million concurrent
+/// EventQueue's key heap that is O(log n) to schedule and leaves a
+/// lazily-cancelled key in the heap; at a million concurrent
 /// probations the heap churn dominates. The wheel makes schedule, cancel
 /// and reschedule O(1):
 ///

@@ -2,9 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "../bench/reference_event_queue.hpp"
+#include "util/rng.hpp"
+
 namespace mafic::sim {
+
+/// Reaches the id-sequence bound without 2^40 pushes.
+struct EventQueueTestPeer {
+  static void set_next_seq(EventQueue& q, std::uint64_t seq) {
+    q.next_seq_ = seq;
+  }
+};
+
 namespace {
 
 TEST(EventQueue, PopsInTimeOrder) {
@@ -169,6 +183,166 @@ TEST(EventQueue, ManyEventsStressOrdering) {
     last = ev.time;
   }
 }
+
+// ---- slot arena: ids, reuse and bounds ---------------------------------
+
+TEST(EventQueue, StaleIdOfReusedSlotIsRejected) {
+  EventQueue q;
+  const EventId old_id = q.push(1.0, [] {});
+  ASSERT_TRUE(q.cancel(old_id));
+  bool ran = false;
+  const EventId new_id = q.push(2.0, [&] { ran = true; });
+  // The freed slot is reused, so the two ids share their slot bits.
+  ASSERT_EQ(old_id & (EventQueue::kMaxSlots - 1),
+            new_id & (EventQueue::kMaxSlots - 1));
+  EXPECT_FALSE(q.cancel(old_id));
+  EXPECT_EQ(q.size(), 1u);
+  auto ev = q.pop();
+  EXPECT_EQ(ev.id, new_id);
+  ev.fn();
+  EXPECT_TRUE(ran);
+}
+
+TEST(EventQueue, OlderEventInHighSlotPopsBeforeNewerInReusedLowSlot) {
+  EventQueue q;
+  std::vector<int> order;
+  const EventId low = q.push(9.0, [] {});
+  const EventId high = q.push(5.0, [&] { order.push_back(1); });
+  ASSERT_TRUE(q.cancel(low));
+  const EventId reused = q.push(5.0, [&] { order.push_back(2); });
+  ASSERT_LT(reused & (EventQueue::kMaxSlots - 1),
+            high & (EventQueue::kMaxSlots - 1));
+  EXPECT_GT(reused, high);
+  while (!q.empty()) q.pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(EventQueue, BatchableDoesNotLeakAcrossSlotReuse) {
+  EventQueue q;
+  const EventId a = q.push(1.0, [] {}, /*batchable=*/true);
+  EXPECT_TRUE(q.next_is_batchable());
+  ASSERT_TRUE(q.cancel(a));
+  q.push(1.0, [] {});
+  EXPECT_FALSE(q.next_is_batchable());
+  q.pop();
+  q.push(1.0, [] {}, /*batchable=*/true);
+  EXPECT_TRUE(q.next_is_batchable());
+  q.pop();
+  q.push(1.0, [] {});
+  EXPECT_FALSE(q.next_is_batchable());
+}
+
+TEST(EventQueue, CancelDestroysTheCallbackAtOnce) {
+  EventQueue q;
+  auto token = std::make_shared<int>(0);
+  const EventId id = q.push(1.0, [token] {});
+  EXPECT_EQ(token.use_count(), 2);
+  ASSERT_TRUE(q.cancel(id));
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, SequenceExhaustionThrowsInsteadOfAliasing) {
+  EventQueue q;
+  const EventId first = q.push(2.0, [] {});
+  EventQueueTestPeer::set_next_seq(q, EventQueue::kMaxSeq);
+  const EventId last = q.push(1.0, [] {});
+  EXPECT_GT(last, first);
+  EXPECT_THROW(q.push(0.5, [] {}), std::length_error);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_EQ(q.pop().id, last);
+  EXPECT_EQ(q.pop().id, first);
+  EXPECT_THROW(q.push(3.0, [] {}), std::length_error);
+  EXPECT_TRUE(q.empty());
+}
+
+// ---- differential against the pre-rewrite queue ------------------------
+
+class EventQueueDifferential : public ::testing::TestWithParam<std::uint64_t> {
+};
+
+TEST_P(EventQueueDifferential, MatchesReferenceQueue) {
+  util::Rng rng(GetParam());
+  EventQueue q;
+  bench::ReferenceEventQueue ref;
+  // Per insertion rank: the id each queue returned for it.
+  std::vector<EventId> ids, ref_ids;
+  int ran = -1, ref_ran = -1;
+
+  // Phases of 1000 steps cycle through growth, cancellation churn (which
+  // drives compaction) and draining, so slots are freed and reused at
+  // every population size. Weights: push, cancel, forged cancel, pop.
+  constexpr double kWeights[3][4] = {{0.60, 0.15, 0.05, 0.20},
+                                     {0.25, 0.65, 0.05, 0.05},
+                                     {0.15, 0.15, 0.05, 0.65}};
+  for (int step = 0; step < 30000; ++step) {
+    const double* w = kWeights[(step / 1000) % 3];
+    const double action = rng.uniform01();
+    if (rng.bernoulli(0.0005)) {
+      q.clear();
+      ref.clear();
+    } else if (action < w[0]) {
+      // Few distinct times, so most pops are decided by insertion order.
+      const SimTime t = double(rng.uniform_int(0, 15)) * 0.25;
+      const bool batchable = rng.bernoulli(0.5);
+      const int rank = int(ids.size());
+      ids.push_back(q.push(t, [&ran, rank] { ran = rank; }, batchable));
+      ref_ids.push_back(
+          ref.push(t, [&ref_ran, rank] { ref_ran = rank; }, batchable));
+    } else if (action < w[0] + w[1]) {
+      if (ids.empty()) continue;
+      // Any issued id: live, popped or already cancelled. The most recent
+      // ranks are mostly still live.
+      const std::size_t rank =
+          rng.bernoulli(0.25)
+              ? rng.index(ids.size())
+              : ids.size() - 1 -
+                    rng.index(std::min<std::size_t>(ids.size(), 32));
+      ASSERT_EQ(q.cancel(ids[rank]), ref.cancel(ref_ids[rank]))
+          << "rank " << rank;
+    } else if (action < w[0] + w[1] + w[2]) {
+      // Never-issued ids: the invalid id, slot-only ids (sequence 0), a
+      // used slot under a future sequence, and arbitrary bits.
+      const EventId future = std::uint64_t{1000000} << EventQueue::kSlotBits;
+      const EventId forged[] = {
+          kInvalidEvent, rng.uniform_int(1, EventQueue::kMaxSlots - 1),
+          ids.empty() ? future : ids[rng.index(ids.size())] + future,
+          rng.next()};
+      for (const EventId id : forged) ASSERT_FALSE(q.cancel(id)) << id;
+      ASSERT_FALSE(ref.cancel(ref_ids.size() + 1000000));
+    } else {
+      if (q.empty()) {
+        ASSERT_TRUE(ref.empty());
+        continue;
+      }
+      ASSERT_EQ(q.next_time(), ref.next_time());
+      ASSERT_EQ(q.next_is_batchable(), ref.next_is_batchable());
+      auto ev = q.pop();
+      auto ref_ev = ref.pop();
+      ASSERT_EQ(ev.time, ref_ev.time);
+      ev.fn();
+      ref_ev.fn();
+      ASSERT_EQ(ran, ref_ran);
+      ASSERT_EQ(ev.id, ids[std::size_t(ran)]);
+      ASSERT_EQ(ref_ev.id, ref_ids[std::size_t(ref_ran)]);
+    }
+    ASSERT_EQ(q.size(), ref.size());
+    ASSERT_EQ(q.empty(), ref.empty());
+    ASSERT_EQ(q.heap_footprint(), ref.heap_footprint());
+    ASSERT_EQ(q.compactions(), ref.compactions());
+  }
+  // Drain both; the tails must agree too.
+  while (!q.empty()) {
+    ASSERT_FALSE(ref.empty());
+    q.pop().fn();
+    ref.pop().fn();
+    ASSERT_EQ(ran, ref_ran);
+  }
+  EXPECT_TRUE(ref.empty());
+  EXPECT_GT(q.compactions(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueDifferential,
+                         ::testing::Values(1, 2, 3, 17, 1234, 0xfeedULL));
 
 }  // namespace
 }  // namespace mafic::sim

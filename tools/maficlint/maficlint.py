@@ -235,6 +235,15 @@ def check_layering(files, manifest):
                 f"{layer} file includes runtime header \"{target}\" of "
                 f"restricted layer '{tgt_layer}' but is neither a declared "
                 f"adapter nor including a vocabulary header"))
+    for edge, rcfg in sorted(restricted.items()):
+        for adapter in rcfg.get("adapters", []):
+            rel = f"src/{adapter}"
+            if rel not in files:
+                findings.append(Finding(
+                    rel, 1, "manifest",
+                    f"restricted-edge {edge} adapter '{adapter}' not found "
+                    f"(manifest drift — update invariants.toml "
+                    f"[layering.restricted])"))
     return findings
 
 
